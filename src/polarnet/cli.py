@@ -277,7 +277,7 @@ def cmd_polarization(args: argparse.Namespace) -> int:
     rows: list[list[Any]] = []
     for variant_name, variant_index, exclude in variants:
         network, partition = _apply_unaligned_filter(run, exclude)
-        codes = network.partition_codes(partition)
+        codes = partition.codes(network.node_ids)
         n_groups = len(partition.labels)
         for layer_index, name in enumerate(run.layer_names):
             layer = network.layer(name)

@@ -5,7 +5,9 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
 * ``f`` greedy agglomeration: start from singletons, repeatedly apply the
   merge with the largest modularity gain until none is positive.
 * ``s`` spectral bisection: recursive leading-eigenvector splits of the
-  symmetrized modularity matrix, found by shifted power iteration.
+  symmetrized modularity matrix, found by LAPACK ``eigh`` on the dense
+  matrix of a small subgraph and by ARPACK ``eigsh`` on a matrix-free
+  operator above ``_DENSE_LIMIT`` nodes.
 * ``e`` extremal optimization: recursive bisection where the worst-fitness
   node, chosen with rank-power probability r^-tau, switches sides.
 * ``r`` reposition: single-node moves to the best neighboring (or fresh)
@@ -23,6 +25,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import UndefinedMetricError, ValidationError
 from .modularity import q_modularity
@@ -31,7 +34,6 @@ from .network import Layer, Partition
 DEFAULT_PORTFOLIO = ("e-1", "esrfr-30", "r-1", "f-1", "s-10", "rfr-1", "rsrfr-30")
 
 EO_TAU = 1.4
-POWER_TOL = 1e-10
 IMPROVE_TOL = 1e-12
 _DENSE_LIMIT = 512  # largest subgraph solved with a dense modularity matrix
 
@@ -124,14 +126,6 @@ def _partition_from_codes(layer: Layer, codes: np.ndarray) -> Partition:
     labels = tuple(f"c{k}" for k in range(int(codes.max()) + 1))
     assignment = {node: labels[codes[i]] for i, node in enumerate(layer.node_ids)}
     return Partition.from_assignment(assignment, labels)
-
-
-def _codes_from_partition(layer: Layer, partition: Partition) -> np.ndarray:
-    label_code = {label: i for i, label in enumerate(partition.labels)}
-    codes = np.empty(len(layer.node_ids), dtype=np.int64)
-    for i, node in enumerate(layer.node_ids):
-        codes[i] = label_code[partition.label_of(node)]
-    return _canonical(codes)
 
 
 def _better(q_a: float, codes_a: np.ndarray, q_b: float, codes_b: np.ndarray | None) -> bool:
@@ -294,40 +288,24 @@ def _leading_vector(
     problem: _Problem, sub: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray | None:
     """Eigenvector of the most positive eigenvalue of the generalized
-    symmetrized modularity submatrix; None on power-iteration non-convergence."""
+    symmetrized modularity submatrix; None when ARPACK does not converge."""
     s = len(sub)
     m = problem.m
     ls, lt, lw = _subset_links(problem, sub)
     kout = problem.k_out[sub]
     kin = problem.k_in[sub]
-    kout_sum = float(kout.sum())
-    kin_sum = float(kin.sum())
     # Row sums of the symmetrized modularity matrix restricted to sub.
     row_adj = (
         np.bincount(ls, weights=lw, minlength=s) + np.bincount(lt, weights=lw, minlength=s)
     ) / 2.0
-    d = row_adj - (kout * kin_sum + kin * kout_sum) / (2.0 * m)
-    max_iter = 10 * max(s, 10)
-    x = rng.standard_normal(s)
-    x /= np.linalg.norm(x)
+    d = row_adj - (kout * float(kin.sum()) + kin * float(kout.sum())) / (2.0 * m)
     if s <= _DENSE_LIMIT:
         dense = np.zeros((s, s))
         np.add.at(dense, (ls, lt), lw / 2.0)
         np.add.at(dense, (lt, ls), lw / 2.0)
         dense -= (np.outer(kout, kin) + np.outer(kin, kout)) / (2.0 * m)
         dense[np.diag_indices(s)] -= d
-        shift = float(np.abs(dense).sum(axis=1).max()) + 1.0
-        dense[np.diag_indices(s)] += shift
-        for _ in range(max_iter):
-            y = dense @ x
-            norm = np.linalg.norm(y)
-            if norm == 0.0:
-                return None
-            y /= norm
-            if np.abs(y - x).max() < POWER_TOL:
-                return y
-            x = y
-        return None
+        return np.linalg.eigh(dense)[1][:, -1]
 
     def apply(vec: np.ndarray) -> np.ndarray:
         adj = np.bincount(ls, weights=lw * vec[lt], minlength=s)
@@ -336,23 +314,11 @@ def _leading_vector(
         null = (kout * float(kin @ vec) + kin * float(kout @ vec)) / (2.0 * m)
         return adj - null - d * vec
 
-    # Gershgorin-style bound keeps the shifted operator non-negative definite.
-    abs_adj = (
-        np.bincount(ls, weights=lw, minlength=s) + np.bincount(lt, weights=lw, minlength=s)
-    ) / 2.0
-    shift = float(
-        (abs_adj + (kout * kin_sum + kin * kout_sum) / (2.0 * m) + np.abs(d)).max()
-    ) + 1.0
-    for _ in range(max_iter):
-        y = apply(x) + shift * x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return None
-        y /= norm
-        if np.abs(y - x).max() < POWER_TOL:
-            return y
-        x = y
-    return None
+    operator = LinearOperator((s, s), matvec=apply, dtype=np.float64)
+    try:
+        return eigsh(operator, k=1, which="LA", v0=rng.standard_normal(s))[1][:, 0]
+    except ArpackNoConvergence:
+        return None
 
 
 def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -366,7 +332,7 @@ def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, 
             continue
         vector = _leading_vector(problem, sub, rng)
         if vector is None:
-            flags.append(f"power iteration did not converge on a subgraph of {len(sub)} nodes")
+            flags.append(f"eigsh did not converge on a subgraph of {len(sub)} nodes")
             continue
         sides = (vector >= 0.0).astype(np.int64)
         if sides.min() == sides.max():
@@ -503,7 +469,8 @@ def detect_fast(layer: Layer) -> DetectionResult:
 
 
 def detect_spectral(layer: Layer, seed: int) -> DetectionResult:
-    """Recursive leading-eigenvector bisection with a seeded start vector."""
+    """Recursive leading-eigenvector bisection; the seed sets the ARPACK start
+    vector of subgraphs above ``_DENSE_LIMIT`` nodes."""
     problem = _Problem(layer)
     codes, flags = _spectral(problem, np.random.default_rng(np.random.SeedSequence(seed)))
     return _result(problem, codes, "s-1", seed, flags)
@@ -519,7 +486,7 @@ def detect_extremal(layer: Layer, seed: int) -> DetectionResult:
 def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
     """Single-node move refinement of a starting partition; Q never drops."""
     problem = _Problem(layer)
-    codes = _reposition(problem, _codes_from_partition(layer, start))
+    codes = _reposition(problem, _canonical(start.codes(layer.node_ids)))
     return _result(problem, codes, "r-1", None)
 
 
@@ -588,7 +555,7 @@ def run_portfolio(
                 raise ValidationError(f"script {script} has stochastic stages and needs a seed")
             sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         result = run_combo(layer, script, sub_seed)
-        codes = _codes_from_partition(layer, result.partition)
+        codes = _canonical(result.partition.codes(layer.node_ids))
         if best is None or _better(result.q, codes, best.q, best_codes):
             best, best_codes = result, codes
     return best

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .errors import ParseError, UndefinedMetricError, ValidationError
 from .modularity import demodularity_matrix
@@ -129,7 +129,7 @@ def pearson_pvalue(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0
     stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * student_t.sf(abs(stat), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(stat)))
 
 
 def demod_distance_analysis(

@@ -170,11 +170,9 @@ def partition_nmi(
     """
     if len(nodes) == 0:
         raise ValidationError("empty node universe")
-    table = np.zeros((len(a.labels), len(b.labels)), dtype=np.float64)
-    a_code = {label: i for i, label in enumerate(a.labels)}
-    b_code = {label: i for i, label in enumerate(b.labels)}
-    for node in nodes:
-        table[a_code[a.label_of(node)], b_code[b.label_of(node)]] += 1
+    na, nb = len(a.labels), len(b.labels)
+    pairs = a.codes(nodes) * nb + b.codes(nodes)
+    table = np.bincount(pairs, minlength=na * nb).reshape(na, nb).astype(np.float64)
     return (
         nmi(table, respect_to="x", estimator=estimator),
         nmi(table, respect_to="y", estimator=estimator),

@@ -21,36 +21,6 @@ POLARIZATION_THRESHOLD = 0.3
 NORMALIZATIONS = ("out_weight", "link_count", "total_m")
 
 
-@dataclass(frozen=True)
-class DegreeVectors:
-    """Out/in strengths per registry index and total weight, self-links excluded."""
-
-    k_out: np.ndarray
-    k_in: np.ndarray
-    m: float
-
-    @classmethod
-    def from_layer(cls, layer: Layer) -> "DegreeVectors":
-        src, dst, w = layer.metric_view()
-        n = len(layer.node_ids)
-        k_out = np.bincount(src, weights=w, minlength=n)
-        k_in = np.bincount(dst, weights=w, minlength=n)
-        m = float(w.sum())
-        return cls(k_out, k_in, m)
-
-
-def _codes_for(layer: Layer, partition: Partition) -> np.ndarray:
-    label_code = {label: i for i, label in enumerate(partition.labels)}
-    codes = np.empty(len(layer.node_ids), dtype=np.int64)
-    for i, node in enumerate(layer.node_ids):
-        label = partition.label_of(node)
-        try:
-            codes[i] = label_code[label]
-        except KeyError:
-            raise ValidationError(f"label {label!r} not in partition labels") from None
-    return codes
-
-
 def q_modularity(
     layer: Layer,
     partition: Partition | None,
@@ -71,7 +41,7 @@ def q_modularity(
     if codes is None:
         if partition is None:
             raise ValidationError("need a partition or precomputed codes")
-        codes = _codes_for(layer, partition)
+        codes = partition.codes(layer.node_ids)
     if n_groups is not None:
         groups = n_groups
     elif partition is not None:
@@ -173,7 +143,7 @@ def demodularity_matrix(
     m = float(w.sum())
     if m <= 0.0:
         raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
-    codes = _codes_for(layer, partition)
+    codes = partition.codes(layer.node_ids)
     groups = len(partition.labels)
     cross = np.zeros((groups, groups))
     np.add.at(cross, (codes[src], codes[dst]), w)
@@ -203,7 +173,7 @@ def decomposition_residual(layer: Layer, partition: Partition) -> float:
     matrix = demodularity_matrix(layer, partition, normalization="out_weight")
     src, dst, w = layer.metric_view()
     m = float(w.sum())
-    codes = _codes_for(layer, partition)
+    codes = partition.codes(layer.node_ids)
     groups = len(partition.labels)
     norms = _group_normalizers(layer, codes, groups, "out_weight", m)
     total = m * q_modularity(layer, partition)

@@ -9,6 +9,7 @@ currency between the party tables and the community detection output.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -280,6 +281,7 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
             has_weight = width >= 3
             has_date = width == 4
         weighted = has_weight
+        total = 0.0
         for lineno, cells in rows:
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
@@ -310,6 +312,12 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
                 if not wcell.strip():
                     raise ParseError("missing weight", path=str(path), line=lineno)
                 weight = _parse_weight(wcell.strip(), str(path), lineno)
+                # Every merged weight is at most the total, so a finite total
+                # keeps each merged link weight and m finite.
+                total += weight
+                if not math.isfinite(total):
+                    raise ParseError("link weights sum past the float range",
+                                     path=str(path), line=lineno)
             stamp = _parse_date(dcell, str(path), lineno) if has_date else None
             links.append(LayerLink(source, target, weight, stamp))
     return Layer.from_links(name, links, weighted=weighted)
@@ -334,9 +342,6 @@ def export_layer_csv(layer: Layer, path: str | Path) -> None:
             writer.writerow(row)
 
 
-export_edge_list = export_layer_csv
-
-
 # -- node tables and party merge -------------------------------------------
 
 
@@ -356,6 +361,8 @@ def read_node_table(path: str | Path) -> dict[str, str]:
             node = cells[0].strip()
             if not node:
                 raise ParseError("empty node id", path=str(path), line=lineno)
+            if node in table:
+                raise ParseError(f"duplicate node id {node!r}", path=str(path), line=lineno)
             table[node] = cells[1].strip()
     return table
 
@@ -431,6 +438,20 @@ class Partition:
             return self.assignment[node]
         except KeyError:
             raise ValidationError(f"node {node!r} missing from partition") from None
+
+    def codes(self, node_ids: Sequence[str]) -> np.ndarray:
+        """Group code per node, indexing ``labels``.
+
+        Raises ValidationError for a node missing from the partition or a
+        label that ``labels`` does not declare.
+        """
+        label_code = {label: i for i, label in enumerate(self.labels)}
+        try:
+            return np.array(
+                [label_code[self.label_of(node)] for node in node_ids], dtype=np.int64
+            )
+        except KeyError as exc:
+            raise ValidationError(f"label {exc.args[0]!r} not in partition labels") from None
 
     def group_sizes(self) -> dict[str, int]:
         sizes = {label: 0 for label in self.labels}
@@ -565,17 +586,6 @@ class MultiplexNetwork:
         }
         return MultiplexNetwork(registry, new_layers, attributes)
 
-    def partition_codes(self, partition: Partition) -> np.ndarray:
-        """Group code per registry index, following partition label order."""
-        label_code = {label: i for i, label in enumerate(partition.labels)}
-        codes = np.empty(len(self.node_ids), dtype=np.int64)
-        for i, node in enumerate(self.node_ids):
-            label = partition.label_of(node)
-            try:
-                codes[i] = label_code[label]
-            except KeyError:
-                raise ValidationError(f"label {label!r} not in partition labels") from None
-        return codes
 
 
 def filter_partition(

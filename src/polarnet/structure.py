@@ -9,10 +9,11 @@ undirected collapse (a directed total-degree variant is available).
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import UndefinedMetricError, ValidationError
 from .network import Layer, Partition
@@ -41,27 +42,23 @@ def group_subnetwork(layer: Layer, partition: Partition, label: str) -> GroupSub
     """Induce the subgraph of the given group on a layer."""
     if label not in partition.labels:
         raise ValidationError(f"label {label!r} not in partition labels")
-    members = [node for node in layer.node_ids if partition.label_of(node) == label]
-    if not members:
+    local = np.flatnonzero(partition.codes(layer.node_ids) == partition.labels.index(label))
+    if not len(local):
         raise ValidationError(f"group {label!r} has no nodes on layer {layer.name!r}")
-    local = {node: i for i, node in enumerate(members)}
     lut = np.full(len(layer.node_ids), -1, dtype=np.int64)
-    for i, node in enumerate(layer.node_ids):
-        lut[i] = local.get(node, -1)
+    lut[local] = np.arange(len(local))
     src, dst, w = layer.metric_view()
     ls, lt = lut[src], lut[dst]
     keep = (ls >= 0) & (lt >= 0)
-    ls, lt, lw = ls[keep], lt[keep], w[keep]
-    merged: dict[tuple[int, int], float] = {}
-    for s, t, weight in zip(ls.tolist(), lt.tolist(), lw.tolist()):
-        merged[(s, t)] = merged.get((s, t), 0.0) + weight
-    keys = sorted(merged)
+    # One key per (source, target) pair; np.unique sorts them and bincount
+    # adds each pair's weights in link order.
+    keys, inverse = np.unique(ls[keep] * len(local) + lt[keep], return_inverse=True)
     return GroupSubnetwork(
         label,
-        tuple(members),
-        np.array([k[0] for k in keys], dtype=np.int64),
-        np.array([k[1] for k in keys], dtype=np.int64),
-        np.array([merged[k] for k in keys], dtype=np.float64),
+        tuple(layer.node_ids[i] for i in local),
+        keys // len(local),
+        keys % len(local),
+        np.bincount(inverse, weights=w[keep], minlength=len(keys)).astype(np.float64),
     )
 
 
@@ -86,29 +83,13 @@ def average_path_length(sub: GroupSubnetwork, *, symmetrize: bool = False) -> fl
     """
     if sub.n < 2:
         raise UndefinedMetricError("path length needs at least 2 nodes")
-    forward: list[list[int]] = [[] for _ in range(sub.n)]
-    for s, t in zip(sub.src.tolist(), sub.dst.tolist()):
-        forward[s].append(t)
-        if symmetrize:
-            forward[t].append(s)
-    total = 0
-    pairs = 0
-    for origin in range(sub.n):
-        dist = np.full(sub.n, -1, dtype=np.int64)
-        dist[origin] = 0
-        queue = deque([origin])
-        while queue:
-            u = queue.popleft()
-            for v in forward[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        reached = dist > 0
-        total += int(dist[reached].sum())
-        pairs += int(reached.sum())
+    graph = csr_matrix((np.ones(sub.n_links), (sub.src, sub.dst)), shape=(sub.n, sub.n))
+    dist = shortest_path(graph, directed=not symmetrize, unweighted=True)
+    reached = np.isfinite(dist) & (dist > 0)
+    pairs = int(reached.sum())
     if pairs == 0:
         return None
-    return total / pairs
+    return int(dist[reached].sum()) / pairs
 
 
 CORE_CONVENTIONS = ("undirected", "total_degree")
@@ -191,12 +172,10 @@ def structure_report(
     """
     if min_group_size < 2:
         raise ValidationError("min_group_size must be at least 2")
-    counts: dict[str, int] = {label: 0 for label in partition.labels}
-    for node in layer.node_ids:
-        counts[partition.label_of(node)] += 1
+    counts = np.bincount(partition.codes(layer.node_ids), minlength=len(partition.labels))
     rows = []
-    for label in partition.labels:
-        if counts[label] < min_group_size:
+    for label, count in zip(partition.labels, counts.tolist()):
+        if count < min_group_size:
             continue
         sub = group_subnetwork(layer, partition, label)
         rows.append(

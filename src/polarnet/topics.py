@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import ParseError, UndefinedMetricError, ValidationError
 from .network import Partition
@@ -203,7 +203,7 @@ def significance(
         else:
             stat += (cell - expected) ** 2 / expected
     stat = max(stat, 0.0)
-    return SignificanceResult(float(chi2.sf(stat, 1)), stat, False)
+    return SignificanceResult(float(chdtrc(1, stat)), stat, False)
 
 
 def topic_report(

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import polarnet
 from polarnet.cli import main
 from polarnet.infometrics import link_nmi, partial_jaccard
 from polarnet.modularity import q_modularity
@@ -516,3 +520,14 @@ def test_format_json_emits_records(fixture_dir):
     network, partition, _ = _library_view(fixture_dir)
     expected = q_modularity(network.layer("retweets"), partition)
     assert payload[0]["q_party"] == float(format(expected, ".12g"))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took most of the CLI's import time; nothing here needs it.
+    env = {**os.environ, "PYTHONPATH": str(Path(polarnet.__file__).resolve().parents[1])}
+    code = "import sys, polarnet.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

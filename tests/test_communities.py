@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import layer_of, random_digraph
 from oracles import best_partition_oracle
+from polarnet import communities
 from polarnet.communities import (
     DEFAULT_PORTFOLIO,
     ComboScript,
@@ -109,6 +111,53 @@ def test_spectral_recovers_planted_groups():
     both = partition_nmi(result.partition, truth, nodes, estimator="ml")
     assert min(both) >= 0.85
     assert result.q >= 0.3
+
+
+def test_spectral_splits_planted_layer_without_flags():
+    # Power iteration capped at 10*s steps stalled here at Q 0.388 with 15 flags.
+    net, _ = generate_planted_partition(8, 50, 0.1, 0.005, seed=1)
+    result = run_combo(net.layer("links"), "s-10", 1004)
+    assert result.flags == ()
+    assert result.q > 0.45
+
+
+def _sparse_sized_planted_layer():
+    net, _ = generate_planted_partition(6, 100, 0.05, 0.002, seed=8)
+    layer = net.layer("links")
+    # A strict subset, so the generalized matrix's diagonal correction is non-zero.
+    sub = np.setdiff1d(np.arange(600), np.arange(0, 600, 8))
+    assert len(sub) > communities._DENSE_LIMIT
+    return layer, sub
+
+
+def test_sparse_leading_vector_matches_dense_eigh():
+    layer, sub = _sparse_sized_planted_layer()
+    src, dst, w = layer.metric_view()
+    adj = np.zeros((600, 600))
+    np.add.at(adj, (src, dst), w)
+    k_out, k_in, m = adj.sum(axis=1), adj.sum(axis=0), adj.sum()
+    sym = (adj + adj.T) / 2.0 - (np.outer(k_out, k_in) + np.outer(k_in, k_out)) / (2.0 * m)
+    block = sym[np.ix_(sub, sub)]
+    block -= np.diag(block.sum(axis=1))
+    dense_sides = np.linalg.eigh(block)[1][:, -1] >= 0.0
+    vector = communities._leading_vector(
+        communities._Problem(layer), sub, np.random.default_rng(5)
+    )
+    sparse_sides = vector >= 0.0
+    assert 0 < sparse_sides.sum() < len(sub)
+    assert (sparse_sides == dense_sides).all() or (sparse_sides != dense_sides).all()
+
+
+def test_arpack_non_convergence_is_flagged(monkeypatch):
+    layer, _ = _sparse_sized_planted_layer()
+
+    def stall(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(communities, "eigsh", stall)
+    result = detect_spectral(layer, seed=2)
+    assert result.flags == ("eigsh did not converge on a subgraph of 600 nodes",)
+    assert result.group_count == 1
 
 
 def test_extremal_recovers_planted_groups():

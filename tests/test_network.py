@@ -104,6 +104,22 @@ def test_ingest_bad_rows_name_path_and_line(tmp_path, body, fragment):
     assert fragment in message.lower()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "source,target,weight\na,b,1e308\na,b,1e308\n",
+        "source,target,weight\na,b,1e308\nb,a,1e308\n",
+    ],
+    ids=["merged-link", "layer-total"],
+)
+def test_ingest_rejects_weights_that_sum_past_the_float_range(tmp_path, body):
+    path = tmp_path / "big.csv"
+    path.write_text(body)
+    with pytest.raises(ParseError) as err:
+        ingest_layer(path)
+    assert f"{path}:3:" in str(err.value)
+
+
 def test_ingest_empty_file_gives_empty_layer(tmp_path):
     # an empty layer is legal at ingest time; metrics on it are undefined
     path = tmp_path / "empty.csv"
@@ -152,6 +168,15 @@ def test_read_node_table(tmp_path):
     assert table == {"p1": "SP", "p2": "SVP", "p3": ""}
 
 
+def test_read_node_table_rejects_repeated_node_id(tmp_path):
+    path = tmp_path / "nodes.csv"
+    path.write_text("node_id,affiliation\np1,SP\np2,SVP\np1,FDP\n")
+    with pytest.raises(ParseError) as err:
+        read_node_table(path)
+    assert f"{path}:4:" in str(err.value)
+    assert "p1" in str(err.value)
+
+
 def test_merge_config_parse(tmp_path):
     path = tmp_path / "merge.cfg"
     path.write_text("# canonical parties\nSVP=SVP/EDU\nEDU=SVP/EDU\nSP=SP\n*=none\n")
@@ -197,6 +222,18 @@ def test_partition_validation():
     assert part.group_sizes() == {"x": 1, "y": 1}
     with pytest.raises(ValidationError):
         part.label_of("zzz")
+
+
+def test_partition_codes_follow_label_order():
+    part = Partition.from_assignment({"a": "x", "b": "y", "c": "x"}, labels=("y", "x"))
+    assert part.codes(["a", "b", "c"]).tolist() == [1, 0, 1]
+    assert part.codes(["c"]).dtype == np.int64
+    with pytest.raises(ValidationError, match="zzz"):
+        part.codes(["a", "zzz"])
+    # The dataclass constructor skips from_assignment's label check.
+    undeclared = Partition({"a": "x", "b": "w"}, ("x",))
+    with pytest.raises(ValidationError, match="'w'"):
+        undeclared.codes(["a", "b"])
 
 
 # -- multiplex assembly ----------------------------------------------------

@@ -44,6 +44,31 @@ def test_group_subnetwork_merges_repeated_pairs():
     assert by_pair[(0, 1)] == 5.0
 
 
+def test_group_subnetwork_matches_dict_merge():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        rows = [
+            (s, t, float(rng.random()) + 0.1, 738000 + int(rng.integers(3)))
+            for s, t, _ in random_digraph(rng, n, 0.3, self_links=True) * 3
+        ]
+        codes = rng.integers(0, 3, size=n)
+        codes[0] = 0
+        layer = layer_of(n, rows, weighted=True)
+        sub = group_subnetwork(layer, partition_of(n, codes), "g0")
+        members = [i for i in range(n) if codes[i] == 0]
+        local = {node: k for k, node in enumerate(members)}
+        merged: dict[tuple[int, int], float] = {}
+        for s, t, w in zip(*(a.tolist() for a in layer.metric_view())):
+            if s in local and t in local:
+                key = (local[s], local[t])
+                merged[key] = merged.get(key, 0.0) + w
+        keys = sorted(merged)
+        assert sub.node_ids == tuple(f"n{i}" for i in members)
+        assert list(zip(sub.src.tolist(), sub.dst.tolist())) == keys
+        assert sub.weight.tolist() == [merged[k] for k in keys]
+
+
 def test_group_subnetwork_errors():
     layer = layer_of(3, [(0, 1)])
     part = partition_of(3, [0, 0, 1])
