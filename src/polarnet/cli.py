@@ -14,7 +14,6 @@ seed once more per script.  Partial reruns therefore match full runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import re
 import sys
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .modularity import (
     q_modularity,
 )
 from .network import (
+    LayerSchema,
     MultiplexNetwork,
     Partition,
     PartyMergeConfig,
@@ -45,6 +45,7 @@ from .network import (
     ingest_layer,
     read_merge_config,
     read_node_table,
+    read_table,
 )
 from .reports import FORMATS, demod_matrix_table, table_payload, write_csv, write_json
 from .structure import CORE_CONVENTIONS, structure_report
@@ -100,7 +101,7 @@ def _load_run(args: argparse.Namespace, *, need_partition: bool, min_layers: int
         raise ValidationError(
             f"this command needs at least {min_layers} --layer NAME=PATH argument(s)"
         )
-    layers = [ingest_layer(path, _schema_for(name)) for name, path in pairs]
+    layers = [ingest_layer(path, LayerSchema(name=name)) for name, path in pairs]
     node_table = read_node_table(args.nodes) if args.nodes else None
     network = MultiplexNetwork.assemble(layers, node_table)
     partition = None
@@ -115,12 +116,6 @@ def _load_run(args: argparse.Namespace, *, need_partition: bool, min_layers: int
     if need_partition and partition is None:
         raise ValidationError("this command needs a node table (--nodes)")
     return LoadedRun(network, tuple(name for name, _ in pairs), partition, merge)
-
-
-def _schema_for(name: str):
-    from .network import LayerSchema
-
-    return LayerSchema(name=name)
 
 
 def _apply_unaligned_filter(run: LoadedRun, exclude: bool) -> tuple[MultiplexNetwork, Partition]:
@@ -188,28 +183,15 @@ def _detect(
 
 def _read_events(path: str | Path) -> list[tuple[date, str]]:
     """Events CSV with columns date,label; header row optional."""
-    path = Path(path)
     events = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if number == 1 and [cell.strip().lower() for cell in row] == ["date", "label"]:
-                continue
-            if len(row) != 2:
-                raise ParseError(
-                    f"expected 2 columns (date,label), found {len(row)}",
-                    path=str(path),
-                    line=number,
-                )
-            try:
-                day = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ParseError(
-                    f"bad date {row[0]!r} (expected YYYY-MM-DD)", path=str(path), line=number
-                ) from None
-            events.append((day, row[1].strip()))
+    for line, (day, label) in read_table(path, ("date", "label")):
+        try:
+            when = date.fromisoformat(day.strip())
+        except ValueError:
+            raise ParseError(
+                f"bad date {day!r} (expected YYYY-MM-DD)", path=str(path), line=line
+            ) from None
+        events.append((when, label.strip()))
     return events
 
 

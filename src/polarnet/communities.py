@@ -505,7 +505,10 @@ def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) 
         script = ComboScript.parse(script)
     if script.stochastic and seed is None:
         raise ValidationError(f"script {script} has stochastic stages and needs a seed")
-    problem = _Problem(layer)
+    return _combo(_Problem(layer), script, seed)
+
+
+def _combo(problem: _Problem, script: ComboScript, seed: int | None) -> DetectionResult:
     codes = np.arange(problem.n, dtype=np.int64)
     q = problem.q_of(codes)
     flags: list[str] = []
@@ -517,8 +520,13 @@ def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) 
         if tag == "f":
             candidates = [(_fast_greedy(problem), ())]
         else:
+            restarts = script.repetitions
+            if tag == "s" and problem.n <= _DENSE_LIMIT:
+                # Every split is then solved by eigh, which reads no generator,
+                # so further restarts would repeat the first one exactly.
+                restarts = 1
             candidates = []
-            for repeat in range(script.repetitions):
+            for repeat in range(restarts):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, position, repeat]))
                 if tag == "s":
                     cand, cand_flags = _spectral(problem, rng)
@@ -545,6 +553,7 @@ def run_portfolio(
     """
     if not scripts:
         raise ValidationError("empty portfolio")
+    problem = _Problem(layer)
     best: DetectionResult | None = None
     best_codes: np.ndarray | None = None
     for i, text in enumerate(scripts):
@@ -554,7 +563,7 @@ def run_portfolio(
             if seed is None:
                 raise ValidationError(f"script {script} has stochastic stages and needs a seed")
             sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        result = run_combo(layer, script, sub_seed)
+        result = _combo(problem, script, sub_seed)
         codes = _canonical(result.partition.codes(layer.node_ids))
         if best is None or _better(result.q, codes, best.q, best_codes):
             best, best_codes = result, codes

@@ -8,7 +8,6 @@ t-based two-sided p-value.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from scipy.special import stdtr
 
 from .errors import ParseError, UndefinedMetricError, ValidationError
 from .modularity import demodularity_matrix
-from .network import Layer, Partition
+from .network import Layer, Partition, read_table
 
 
 @dataclass(frozen=True)
@@ -56,35 +55,22 @@ def read_positions(path: str | Path) -> dict[str, PartyPosition]:
     A header row spelling exactly those names is skipped.  Duplicate party
     labels are rejected.  Returns parties in file order.
     """
-    path = Path(path)
     positions: dict[str, PartyPosition] = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if number == 1 and [cell.strip().lower() for cell in row] == ["party", "lr", "cl"]:
-                continue
-            if len(row) != 3:
-                raise ParseError(
-                    f"expected 3 columns (party,lr,cl), found {len(row)}",
-                    path=str(path),
-                    line=number,
-                )
-            party = row[0].strip()
-            if not party:
-                raise ParseError("empty party label", path=str(path), line=number)
-            if party in positions:
-                raise ParseError(f"duplicate party {party!r}", path=str(path), line=number)
-            try:
-                lr, cl = float(row[1]), float(row[2])
-            except ValueError:
-                raise ParseError(
-                    f"bad coordinates {row[1]!r}, {row[2]!r}", path=str(path), line=number
-                ) from None
-            if not (math.isfinite(lr) and math.isfinite(cl)):
-                raise ParseError("coordinates must be finite", path=str(path), line=number)
-            positions[party] = PartyPosition(party=party, lr=lr, cl=cl)
+    for line, (party, lr_cell, cl_cell) in read_table(path, ("party", "lr", "cl")):
+        party = party.strip()
+        if not party:
+            raise ParseError("empty party label", path=str(path), line=line)
+        if party in positions:
+            raise ParseError(f"duplicate party {party!r}", path=str(path), line=line)
+        try:
+            lr, cl = float(lr_cell), float(cl_cell)
+        except ValueError:
+            raise ParseError(
+                f"bad coordinates {lr_cell!r}, {cl_cell!r}", path=str(path), line=line
+            ) from None
+        if not (math.isfinite(lr) and math.isfinite(cl)):
+            raise ParseError("coordinates must be finite", path=str(path), line=line)
+        positions[party] = PartyPosition(party=party, lr=lr, cl=cl)
     if not positions:
         raise ParseError("no party positions found", path=str(path), line=1)
     return positions

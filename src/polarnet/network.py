@@ -8,7 +8,9 @@ currency between the party tables and the community detection output.
 """
 from __future__ import annotations
 
+import copy
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import date
@@ -243,84 +245,100 @@ def _parse_date(cell: str, path: str, line: int) -> date | None:
         raise ParseError(f"bad date {cell!r}", path=path, line=line) from None
 
 
+def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, cells) for every non-blank row of a UTF-8 CSV file.
+
+    A leading byte-order mark is dropped.  ``line`` is the physical line on
+    which the row starts, so rows after a quoted multi-line cell are still
+    named correctly in errors.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        line = 1
+        for cells in reader:
+            if len(cells) > 1 or (cells and cells[0].strip()):
+                yield line, cells
+            line = reader.line_num + 1
+
+
+def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, cells) for the data rows of a CSV file with exactly ``columns``.
+
+    A header on line 1 spelling the column names (case-insensitively) is
+    skipped; any other row of the wrong width is a ParseError at its line.
+    """
+    header = [column.casefold() for column in columns]
+    for line, cells in csv_rows(path):
+        if line == 1 and [cell.strip().casefold() for cell in cells] == header:
+            continue
+        if len(cells) != len(columns):
+            raise ParseError(
+                f"expected {len(columns)} columns ({','.join(columns)}), found {len(cells)}",
+                path=str(path), line=line,
+            )
+        yield line, cells
+
+
 def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
     """Read a layer CSV with columns source,target[,weight][,date].
 
-    A header row matching the schema's column names is consumed; otherwise
-    rows are read positionally (2 columns unweighted, 3 with weight, 4 with
-    weight and date).  The layer is weighted exactly when a weight column is
-    present.
+    A header on line 1 naming the schema's source and target columns maps
+    every column by name; otherwise rows are read positionally (2 columns
+    unweighted, 3 with weight, 4 with weight and date).  The layer is
+    weighted exactly when a weight column is present.
     """
     schema = schema or LayerSchema()
     path = Path(path)
+    where = str(path)
     name = schema.name or path.stem
+    names = (schema.source, schema.target, schema.weight, schema.date)
+    rows = csv_rows(path)
+    first = next(rows, None)
+    if first is None:
+        return Layer.from_links(name, [], weighted=False)
+    line, cells = first
+    header = [cell.strip().casefold() for cell in cells]
+    if line == 1 and header[:2] == [schema.source.casefold(), schema.target.casefold()]:
+        positions = {column: i for i, column in enumerate(header)}
+        cols = tuple(positions.get(column.casefold()) for column in names)
+        columns = [cell.strip() for cell in cells]
+    else:
+        if not 2 <= len(cells) <= 4:
+            raise ParseError(
+                f"expected 2 to 4 columns ({','.join(names)}), found {len(cells)}",
+                path=where, line=line,
+            )
+        cols = tuple(i if i < len(cells) else None for i in range(4))
+        columns = names[: len(cells)]
+        rows = itertools.chain([first], rows)
+    src_col, dst_col, weight_col, date_col = cols
+    width = len(cells)
     links: list[LayerLink] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = iter(enumerate(reader, start=1))
-        first = next(rows, None)
-        if first is None:
-            return Layer.from_links(name, [], weighted=False)
-        lineno, cells = first
-        header = [c.strip().casefold() for c in cells]
-        positions: dict[str, int] | None = None
-        if header[:2] == [schema.source.casefold(), schema.target.casefold()]:
-            positions = {col: i for i, col in enumerate(header)}
-            width = None
-        else:
-            width = len(cells)
-            rows = iter([first] + list(rows))  # first row is data
-        weighted = False
-        has_weight = has_date = False
-        if positions is not None:
-            has_weight = schema.weight.casefold() in positions
-            has_date = schema.date.casefold() in positions
-        else:
-            if width not in (2, 3, 4):
-                raise ParseError(f"expected 2-4 columns, got {width}", path=str(path), line=lineno)
-            has_weight = width >= 3
-            has_date = width == 4
-        weighted = has_weight
-        total = 0.0
-        for lineno, cells in rows:
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if positions is not None:
-                if len(cells) != len(header):
-                    raise ParseError(
-                        f"expected {len(header)} columns, got {len(cells)}",
-                        path=str(path), line=lineno,
-                    )
-                source = cells[positions[schema.source.casefold()]].strip()
-                target = cells[positions[schema.target.casefold()]].strip()
-                wcell = cells[positions[schema.weight.casefold()]] if has_weight else ""
-                dcell = cells[positions[schema.date.casefold()]] if has_date else ""
-            else:
-                if len(cells) != width:
-                    raise ParseError(
-                        f"expected {width} columns, got {len(cells)}",
-                        path=str(path), line=lineno,
-                    )
-                source = cells[0].strip()
-                target = cells[1].strip()
-                wcell = cells[2] if has_weight else ""
-                dcell = cells[3] if has_date else ""
-            if not source or not target:
-                raise ParseError("empty node id", path=str(path), line=lineno)
-            weight = 1.0
-            if has_weight:
-                if not wcell.strip():
-                    raise ParseError("missing weight", path=str(path), line=lineno)
-                weight = _parse_weight(wcell.strip(), str(path), lineno)
-                # Every merged weight is at most the total, so a finite total
-                # keeps each merged link weight and m finite.
-                total += weight
-                if not math.isfinite(total):
-                    raise ParseError("link weights sum past the float range",
-                                     path=str(path), line=lineno)
-            stamp = _parse_date(dcell, str(path), lineno) if has_date else None
-            links.append(LayerLink(source, target, weight, stamp))
-    return Layer.from_links(name, links, weighted=weighted)
+    total = 0.0
+    for line, cells in rows:
+        if len(cells) != width:
+            raise ParseError(
+                f"expected {width} columns ({','.join(columns)}), found {len(cells)}",
+                path=where, line=line,
+            )
+        source = cells[src_col].strip()
+        target = cells[dst_col].strip()
+        if not source or not target:
+            raise ParseError("empty node id", path=where, line=line)
+        weight = 1.0
+        if weight_col is not None:
+            wcell = cells[weight_col].strip()
+            if not wcell:
+                raise ParseError("missing weight", path=where, line=line)
+            weight = _parse_weight(wcell, where, line)
+            # Every merged weight is at most the total, so a finite total
+            # keeps each merged link weight and m finite.
+            total += weight
+            if not math.isfinite(total):
+                raise ParseError("link weights sum past the float range", path=where, line=line)
+        stamp = None if date_col is None else _parse_date(cells[date_col], where, line)
+        links.append(LayerLink(source, target, weight, stamp))
+    return Layer.from_links(name, links, weighted=weight_col is not None)
 
 
 def export_layer_csv(layer: Layer, path: str | Path) -> None:
@@ -347,23 +365,14 @@ def export_layer_csv(layer: Layer, path: str | Path) -> None:
 
 def read_node_table(path: str | Path) -> dict[str, str]:
     """Read node_id,affiliation rows into an ordered mapping."""
-    path = Path(path)
     table: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for lineno, cells in enumerate(reader, start=1):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if lineno == 1 and [c.strip().casefold() for c in cells[:2]] == ["node_id", "affiliation"]:
-                continue
-            if len(cells) < 2:
-                raise ParseError("expected node_id,affiliation", path=str(path), line=lineno)
-            node = cells[0].strip()
-            if not node:
-                raise ParseError("empty node id", path=str(path), line=lineno)
-            if node in table:
-                raise ParseError(f"duplicate node id {node!r}", path=str(path), line=lineno)
-            table[node] = cells[1].strip()
+    for line, (node, affiliation) in read_table(path, ("node_id", "affiliation")):
+        node = node.strip()
+        if not node:
+            raise ParseError("empty node id", path=str(path), line=line)
+        if node in table:
+            raise ParseError(f"duplicate node id {node!r}", path=str(path), line=line)
+        table[node] = affiliation.strip()
     return table
 
 
@@ -385,8 +394,7 @@ def read_merge_config(path: str | Path) -> PartyMergeConfig:
     """Parse key=value lines; the key '*' names the unaligned label."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    unaligned = "unaligned"
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
@@ -397,12 +405,10 @@ def read_merge_config(path: str | Path) -> PartyMergeConfig:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise ParseError("empty key or value", path=str(path), line=lineno)
-            if key == "*":
-                unaligned = value
-                continue
             if key in mapping:
                 raise ParseError(f"duplicate key {key!r}", path=str(path), line=lineno)
             mapping[key] = value
+    unaligned = mapping.pop("*", "unaligned")
     return PartyMergeConfig(mapping, unaligned)
 
 
@@ -567,7 +573,11 @@ class MultiplexNetwork:
             layer = self.layer(name)
             keep = (layer.src != v) & (layer.dst != v)
             new_layers[name] = layer._masked(keep, node_count=layer.node_count - 1)
-        return MultiplexNetwork(self.node_ids, new_layers, self.attributes, self.inactive | {v})
+        # Instances are immutable, so the replica shares the registry index and attributes.
+        replica = copy.copy(self)
+        replica.layers = new_layers
+        replica.inactive = self.inactive | {v}
+        return replica
 
     def induced(self, keep_ids: Iterable[str]) -> "MultiplexNetwork":
         """Rebuild the network on a node subset, renumbering the registry."""

@@ -11,7 +11,6 @@ spelling.  Probabilities are token frequencies, not document frequencies.
 """
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 from scipy.special import chdtrc
 
 from .errors import ParseError, UndefinedMetricError, ValidationError
-from .network import Partition
+from .network import Partition, read_table
 
 SIGNIFICANCE_METHODS = ("g", "pearson")
 
@@ -107,7 +106,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = (resources.files("polarnet") / "data" / _BUNDLED_STOPWORDS).read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")
     words = set()
     for raw in text.splitlines():
         word = raw.strip()
@@ -301,35 +300,20 @@ def read_comments(path: str | Path) -> list[CommentRecord]:
     may be empty; otherwise it must be ISO formatted.  Text cells may be
     quoted and contain commas or newlines.
     """
-    path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if number == 1 and [cell.strip().lower() for cell in row] == ["author", "date", "text"]:
-                continue
-            if len(row) != 3:
+    for line, (author, datecell, text) in read_table(path, ("author", "date", "text")):
+        author, datecell = author.strip(), datecell.strip()
+        if not author:
+            raise ParseError("empty author", path=str(path), line=line)
+        when: date | None = None
+        if datecell:
+            try:
+                when = date.fromisoformat(datecell)
+            except ValueError:
                 raise ParseError(
-                    f"expected 3 columns (author,date,text), found {len(row)}",
-                    path=str(path),
-                    line=number,
-                )
-            author, datecell, text = row[0].strip(), row[1].strip(), row[2]
-            if not author:
-                raise ParseError("empty author", path=str(path), line=number)
-            when: date | None = None
-            if datecell:
-                try:
-                    when = date.fromisoformat(datecell)
-                except ValueError:
-                    raise ParseError(
-                        f"bad date {datecell!r} (expected YYYY-MM-DD)",
-                        path=str(path),
-                        line=number,
-                    ) from None
-            records.append(CommentRecord(author=author, timestamp=when, text=text))
+                    f"bad date {datecell!r} (expected YYYY-MM-DD)", path=str(path), line=line
+                ) from None
+        records.append(CommentRecord(author=author, timestamp=when, text=text))
     if not records:
         raise ParseError("no comments found", path=str(path), line=1)
     return records

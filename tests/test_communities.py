@@ -1,6 +1,8 @@
 """Combo scripts and the modularity-optimizing detection portfolio."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -160,6 +162,27 @@ def test_arpack_non_convergence_is_flagged(monkeypatch):
     assert result.group_count == 1
 
 
+def test_dense_spectral_stage_runs_one_restart(monkeypatch):
+    # eigh reads no generator, so at or below _DENSE_LIMIT nodes every
+    # restart of an s stage would repeat the first.
+    layer = generate_planted_partition(4, 40, 0.15, 0.01, seed=3)[0].layer("links")
+    once = run_combo(layer, "s-1", seed=2)
+    calls = []
+    spectral = communities._spectral
+
+    def counted(problem, rng):
+        calls.append(problem.n)
+        return spectral(problem, rng)
+
+    monkeypatch.setattr(communities, "_spectral", counted)
+    result = run_combo(layer, "s-10", seed=2)
+    assert calls == [160]
+    assert result == dataclasses.replace(once, script="s-10")
+    assert round(result.q, 6) == 0.516967
+    assert result.group_count == 5
+    assert result.flags == ()
+
+
 def test_extremal_recovers_planted_groups():
     net, truth = generate_planted_partition(2, 12, 0.8, 0.05, seed=6)
     layer = net.layer("links")
@@ -288,6 +311,21 @@ def test_portfolio_requires_seed_when_any_script_is_stochastic():
 def test_portfolio_rejects_empty_script_list():
     with pytest.raises(ValidationError):
         run_portfolio(_two_triangles(), ())
+
+
+def test_portfolio_builds_one_problem_per_layer(monkeypatch):
+    layer = generate_planted_partition(2, 10, 0.6, 0.05, seed=4)[0].layer("links")
+    expected = run_portfolio(layer, DEFAULT_PORTFOLIO, seed=9)
+    built = []
+
+    class Counted(communities._Problem):
+        def __init__(self, layer):
+            built.append(layer.name)
+            super().__init__(layer)
+
+    monkeypatch.setattr(communities, "_Problem", Counted)
+    assert run_portfolio(layer, DEFAULT_PORTFOLIO, seed=9) == expected
+    assert built == ["links"]
 
 
 def test_portfolio_is_deterministic():

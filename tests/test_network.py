@@ -193,6 +193,23 @@ def test_merge_config_duplicate_key(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_merge_config_rejects_second_unaligned_key(tmp_path):
+    path = tmp_path / "merge.cfg"
+    path.write_text("SP=SP\n*=none\n# later\n*=other\n")
+    with pytest.raises(ParseError) as err:
+        read_merge_config(path)
+    assert f"{path}:4:" in str(err.value)
+    assert "'*'" in str(err.value)
+
+
+def test_merge_config_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "merge.cfg"
+    path.write_bytes("\ufeffSP=Left\n*=none\n".encode("utf-8"))
+    config = read_merge_config(path)
+    assert config.mapping == {"SP": "Left"}
+    assert config.unaligned_label == "none"
+
+
 def test_apply_party_merge_orders_and_defaults():
     config = PartyMergeConfig({"SVP": "SVP/EDU", "EDU": "SVP/EDU", "SP": "SP"})
     partition = apply_party_merge(
@@ -265,6 +282,15 @@ def test_drop_node_masks_links_and_registry_indices():
     assert dropped.node_ids == network.node_ids
     with pytest.raises(ValidationError):
         dropped.drop_node("n1")
+
+
+def test_drop_node_shares_the_parent_registry_index():
+    layer = layer_of(3, [(0, 1), (1, 2)])
+    network = MultiplexNetwork.assemble([layer], node_table={"n0": "A", "n1": "B", "n2": "A"})
+    dropped = network.drop_node("n2")
+    assert dropped.index is network.index
+    assert dropped.attributes == network.attributes
+    assert dropped.drop_node("n0").index is network.index
 
 
 def test_drop_node_only_layers_restricts_copy():

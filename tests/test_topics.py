@@ -58,6 +58,12 @@ def test_load_stopwords_from_file(tmp_path):
     assert load_stopwords(listing) == frozenset({"foo", "bar"})
 
 
+def test_load_stopwords_drops_byte_order_mark(tmp_path):
+    listing = tmp_path / "stop.txt"
+    listing.write_bytes("\ufeffFoo\nbar\n".encode("utf-8"))
+    assert load_stopwords(listing) == frozenset({"foo", "bar"})
+
+
 # -- PMI --------------------------------------------------------------------
 
 
