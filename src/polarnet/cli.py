@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .communities import DEFAULT_PORTFOLIO, ComboScript, DetectionResult, run_portfolio
-from .errors import ParseError, PolarnetError, ValidationError
+from .errors import PolarnetError, ValidationError
 from .ideology import demod_distance_analysis, read_positions
 from .infometrics import ESTIMATORS, jackknife, link_nmi, partial_jaccard, partition_nmi
 from .modularity import (
@@ -43,6 +43,7 @@ from .network import (
     export_layer_csv,
     filter_partition,
     ingest_layer,
+    parse_date,
     read_merge_config,
     read_node_table,
     read_table,
@@ -183,16 +184,10 @@ def _detect(
 
 def _read_events(path: str | Path) -> list[tuple[date, str]]:
     """Events CSV with columns date,label; header row optional."""
-    events = []
-    for line, (day, label) in read_table(path, ("date", "label")):
-        try:
-            when = date.fromisoformat(day.strip())
-        except ValueError:
-            raise ParseError(
-                f"bad date {day!r} (expected YYYY-MM-DD)", path=str(path), line=line
-            ) from None
-        events.append((when, label.strip()))
-    return events
+    return [
+        (parse_date(day, path, line), label.strip())
+        for line, (day, label) in read_table(path, ("date", "label"))
+    ]
 
 
 def _emit(args: argparse.Namespace, stem: str, header: Sequence[str], rows: list[list[Any]]) -> Path:

@@ -13,6 +13,11 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
 * ``r`` reposition: single-node moves to the best neighboring (or fresh)
   group until a full pass yields no improvement; never decreases Q.
 
+Every stage reads one undirected view of the layer, the CSR matrix of
+w(i->j) + w(j->i) from ``network.symmetric_adjacency``: f seeds its merge
+rows from it, r walks its rows, and s and e cut out the block of the
+subgraph they bisect.
+
 A trailing count ("-30") sets the number of independent seeded restarts of
 every stochastic stage (e and s) in the script; r and f are deterministic and
 run once per occurrence.  The directed modularity of the full layer is always
@@ -23,13 +28,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import UndefinedMetricError, ValidationError
 from .modularity import q_modularity
-from .network import Layer, Partition
+from .network import Layer, Partition, symmetric_adjacency
 
 DEFAULT_PORTFOLIO = ("e-1", "esrfr-30", "r-1", "f-1", "s-10", "rfr-1", "rsrfr-30")
 
@@ -85,28 +91,22 @@ class DetectionResult:
 
 
 class _Problem:
-    """Precomputed link arrays, degrees and adjacency lists for one layer."""
+    """Degrees, total weight and the symmetrized adjacency of one layer.
+
+    ``adj`` is the n×n CSR matrix with w(i->j) + w(j->i) at (i, j) and
+    (j, i), columns sorted; every detection stage reads neighbours from it.
+    """
 
     def __init__(self, layer: Layer):
         src, dst, w = layer.metric_view()
         self.layer = layer
         self.n = len(layer.node_ids)
-        self.src, self.dst, self.w = src, dst, w
         self.m = float(w.sum())
         if self.m <= 0.0:
             raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
         self.k_out = np.bincount(src, weights=w, minlength=self.n)
         self.k_in = np.bincount(dst, weights=w, minlength=self.n)
-        # Unique-neighbor adjacency with both directions combined:
-        # wboth[i][k] = w(i->j) + w(j->i) for neighbor j = nbr[i][k].
-        combined: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        for s, t, weight in zip(src.tolist(), dst.tolist(), w.tolist()):
-            combined[s][t] = combined[s].get(t, 0.0) + weight
-            combined[t][s] = combined[t].get(s, 0.0) + weight
-        self.nbr = [np.array(sorted(d), dtype=np.int64) for d in combined]
-        self.wboth = [
-            np.array([d[j] for j in sorted(d)], dtype=np.float64) for d in combined
-        ]
+        self.adj = symmetric_adjacency(self.n, src, dst, w)
 
     def q_of(self, codes: np.ndarray) -> float:
         return q_modularity(self.layer, None, codes=codes, n_groups=int(codes.max()) + 1)
@@ -142,13 +142,14 @@ def _better(q_a: float, codes_a: np.ndarray, q_b: float, codes_b: np.ndarray | N
 
 def _fast_greedy(problem: _Problem) -> np.ndarray:
     n, m = problem.n, problem.m
-    k_out = problem.k_out.copy()
-    k_in = problem.k_in.copy()
-    conn: list[dict[int, float]] = [dict() for _ in range(n)]
-    for s, t, w in zip(problem.src.tolist(), problem.dst.tolist(), problem.w.tolist()):
-        conn[s][t] = conn[s].get(t, 0.0) + w
-        conn[t][s] = conn[t].get(s, 0.0) + w
-    alive = np.ones(n, dtype=bool)
+    # Python floats and lists: the same double arithmetic as numpy scalars,
+    # at a fraction of the per-access cost in this pop-and-merge loop.
+    k_out = problem.k_out.tolist()
+    k_in = problem.k_in.tolist()
+    bounds = problem.adj.indptr.tolist()
+    nbr, wboth = problem.adj.indices.tolist(), problem.adj.data.tolist()
+    conn = [dict(zip(nbr[lo:hi], wboth[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    alive = [True] * n
     members: list[list[int]] = [[i] for i in range(n)]
 
     def gain(a: int, b: int) -> float:
@@ -209,18 +210,20 @@ def _reposition(problem: _Problem, codes: np.ndarray, max_passes: int = 10_000) 
     np.add.at(size_g, codes, 1)
     free = list(range(int(codes.max()) + 1, n))
     heapq.heapify(free)
+    bounds = problem.adj.indptr.tolist()
+    nbr, wboth = problem.adj.indices.tolist(), problem.adj.data.tolist()
     for _ in range(max_passes):
         moved = False
         for i in range(n):
-            nbr = problem.nbr[i]
-            if len(nbr) == 0:
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:
                 continue
             g = int(codes[i])
             koi, kii = k_out[i], k_in[i]
             kin_rest = kin_g[g] - kii
             kout_rest = kout_g[g] - koi
             acc: dict[int, float] = {}
-            for j, wb in zip(nbr.tolist(), problem.wboth[i].tolist()):
+            for j, wb in zip(nbr[lo:hi], wboth[lo:hi]):
                 h = int(codes[j])
                 acc[h] = acc.get(h, 0.0) + wb
             w_same = acc.pop(g, 0.0)
@@ -254,74 +257,20 @@ def _reposition(problem: _Problem, codes: np.ndarray, max_passes: int = 10_000) 
     return _canonical(codes)
 
 
-# -- spectral bisection ----------------------------------------------------
+# -- recursive bisection ---------------------------------------------------
 
 
-def _subset_links(problem: _Problem, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Links with both endpoints in ``sub``, endpoints in local 0..s-1 indices."""
-    pos = np.full(problem.n, -1, dtype=np.int64)
-    pos[sub] = np.arange(len(sub))
-    ls, lt = pos[problem.src], pos[problem.dst]
-    keep = (ls >= 0) & (lt >= 0)
-    return ls[keep], lt[keep], problem.w[keep]
-
-
-def _split_gain(
+def _bisect(
     problem: _Problem,
-    sub: np.ndarray,
-    sides: np.ndarray,
-    ls: np.ndarray,
-    lt: np.ndarray,
-    lw: np.ndarray,
-) -> float:
-    """Directed modularity change from splitting ``sub`` along ``sides``."""
-    m = problem.m
-    cross = float(lw[sides[ls] != sides[lt]].sum())
-    kout0 = float(problem.k_out[sub[sides == 0]].sum())
-    kout1 = float(problem.k_out[sub[sides == 1]].sum())
-    kin0 = float(problem.k_in[sub[sides == 0]].sum())
-    kin1 = float(problem.k_in[sub[sides == 1]].sum())
-    return -cross / m + (kout0 * kin1 + kout1 * kin0) / (m * m)
+    rng: np.random.Generator,
+    split: Callable[[_Problem, np.ndarray, np.random.Generator], np.ndarray | None],
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Split groups in two with ``split`` until none splits, starting from one group.
 
-
-def _leading_vector(
-    problem: _Problem, sub: np.ndarray, rng: np.random.Generator
-) -> np.ndarray | None:
-    """Eigenvector of the most positive eigenvalue of the generalized
-    symmetrized modularity submatrix; None when ARPACK does not converge."""
-    s = len(sub)
-    m = problem.m
-    ls, lt, lw = _subset_links(problem, sub)
-    kout = problem.k_out[sub]
-    kin = problem.k_in[sub]
-    # Row sums of the symmetrized modularity matrix restricted to sub.
-    row_adj = (
-        np.bincount(ls, weights=lw, minlength=s) + np.bincount(lt, weights=lw, minlength=s)
-    ) / 2.0
-    d = row_adj - (kout * float(kin.sum()) + kin * float(kout.sum())) / (2.0 * m)
-    if s <= _DENSE_LIMIT:
-        dense = np.zeros((s, s))
-        np.add.at(dense, (ls, lt), lw / 2.0)
-        np.add.at(dense, (lt, ls), lw / 2.0)
-        dense -= (np.outer(kout, kin) + np.outer(kin, kout)) / (2.0 * m)
-        dense[np.diag_indices(s)] -= d
-        return np.linalg.eigh(dense)[1][:, -1]
-
-    def apply(vec: np.ndarray) -> np.ndarray:
-        adj = np.bincount(ls, weights=lw * vec[lt], minlength=s)
-        adj += np.bincount(lt, weights=lw * vec[ls], minlength=s)
-        adj /= 2.0
-        null = (kout * float(kin @ vec) + kin * float(kout @ vec)) / (2.0 * m)
-        return adj - null - d * vec
-
-    operator = LinearOperator((s, s), matvec=apply, dtype=np.float64)
-    try:
-        return eigsh(operator, k=1, which="LA", v0=rng.standard_normal(s))[1][:, 0]
-    except ArpackNoConvergence:
-        return None
-
-
-def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
+    ``split`` returns 0/1 sides for the nodes of ``sub`` or None to leave it
+    whole.  A subgraph on which ARPACK does not converge also stays whole,
+    and a flag names it.
+    """
     codes = np.zeros(problem.n, dtype=np.int64)
     flags: list[str] = []
     next_label = 1
@@ -330,15 +279,12 @@ def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, 
         sub = stack.pop()
         if len(sub) < 2:
             continue
-        vector = _leading_vector(problem, sub, rng)
-        if vector is None:
+        try:
+            sides = split(problem, sub, rng)
+        except ArpackNoConvergence:
             flags.append(f"eigsh did not converge on a subgraph of {len(sub)} nodes")
             continue
-        sides = (vector >= 0.0).astype(np.int64)
-        if sides.min() == sides.max():
-            continue
-        ls, lt, lw = _subset_links(problem, sub)
-        if _split_gain(problem, sub, sides, ls, lt, lw) <= IMPROVE_TOL:
+        if sides is None:
             continue
         half = sub[sides == 1]
         codes[half] = next_label
@@ -346,6 +292,63 @@ def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, 
         stack.append(sub[sides == 0])
         stack.append(half)
     return _canonical(codes), tuple(flags)
+
+
+# -- spectral bisection ----------------------------------------------------
+
+
+def _split_gain(problem: _Problem, sub: np.ndarray, sides: np.ndarray) -> float:
+    """Directed modularity change from splitting ``sub`` along ``sides``."""
+    m = problem.m
+    # Weight between the halves: side-0 rows of adj times the side-1 indicator.
+    far = np.zeros(problem.n)
+    far[sub[sides == 1]] = 1.0
+    cross = float((problem.adj @ far)[sub[sides == 0]].sum())
+    kout0 = float(problem.k_out[sub[sides == 0]].sum())
+    kout1 = float(problem.k_out[sub[sides == 1]].sum())
+    kin0 = float(problem.k_in[sub[sides == 0]].sum())
+    kin1 = float(problem.k_in[sub[sides == 1]].sum())
+    return -cross / m + (kout0 * kin1 + kout1 * kin0) / (m * m)
+
+
+def _leading_vector(problem: _Problem, sub: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Eigenvector of the most positive eigenvalue of the generalized
+    symmetrized modularity submatrix; raises ArpackNoConvergence when
+    ``eigsh`` does not converge."""
+    s = len(sub)
+    m = problem.m
+    local = problem.adj[sub][:, sub]
+    kout = problem.k_out[sub]
+    kin = problem.k_in[sub]
+    # Row sums of the symmetrized modularity matrix restricted to sub.
+    row_adj = local @ np.ones(s) / 2.0
+    d = row_adj - (kout * float(kin.sum()) + kin * float(kout.sum())) / (2.0 * m)
+    if s <= _DENSE_LIMIT:
+        dense = local.toarray() / 2.0
+        dense -= (np.outer(kout, kin) + np.outer(kin, kout)) / (2.0 * m)
+        dense[np.diag_indices(s)] -= d
+        return np.linalg.eigh(dense)[1][:, -1]
+
+    def apply(vec: np.ndarray) -> np.ndarray:
+        null = (kout * float(kin @ vec) + kin * float(kout @ vec)) / (2.0 * m)
+        return local @ vec / 2.0 - null - d * vec
+
+    operator = LinearOperator((s, s), matvec=apply, dtype=np.float64)
+    return eigsh(operator, k=1, which="LA", v0=rng.standard_normal(s))[1][:, 0]
+
+
+def _spectral_split(
+    problem: _Problem, sub: np.ndarray, rng: np.random.Generator
+) -> np.ndarray | None:
+    """Sides by the sign of the leading vector, or None when the split does not raise Q."""
+    sides = (_leading_vector(problem, sub, rng) >= 0.0).astype(np.int64)
+    if sides.min() == sides.max() or _split_gain(problem, sub, sides) <= IMPROVE_TOL:
+        return None
+    return sides
+
+
+def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
+    return _bisect(problem, rng, _spectral_split)
 
 
 # -- extremal optimization -------------------------------------------------
@@ -357,18 +360,12 @@ def _eo_bisect(
     """One tau-EO bisection of ``sub``; returns sides or None when no split helps."""
     s = len(sub)
     m = problem.m
-    ls, lt, lw = _subset_links(problem, sub)
+    local = problem.adj[sub][:, sub]
     kout = problem.k_out[sub]
     kin = problem.k_in[sub]
-    pos = np.full(problem.n, -1, dtype=np.int64)
-    pos[sub] = np.arange(s)
-    local_nbr: list[np.ndarray] = []
-    local_wb: list[np.ndarray] = []
-    for node in sub.tolist():
-        others = pos[problem.nbr[node]]
-        keep = others >= 0
-        local_nbr.append(others[keep])
-        local_wb.append(problem.wboth[node][keep])
+    bounds = list(zip(local.indptr.tolist(), local.indptr[1:].tolist()))
+    local_nbr = [local.indices[lo:hi] for lo, hi in bounds]
+    local_wb = [local.data[lo:hi] for lo, hi in bounds]
     ksym = np.array([wb.sum() for wb in local_wb])
     sides = rng.integers(0, 2, size=s).astype(np.int64)
     wsym_same = np.zeros(s)
@@ -377,7 +374,7 @@ def _eo_bisect(
         wsym_same[i] = local_wb[i][mask].sum() / 2.0
     agg_out = np.array([kout[sides == 0].sum(), kout[sides == 1].sum()])
     agg_in = np.array([kin[sides == 0].sum(), kin[sides == 1].sum()])
-    cross = float(lw[sides[ls] != sides[lt]].sum())
+    cross = float((1 - sides) @ (local @ sides))
 
     def split_gain() -> float:
         return -cross / m + (agg_out[0] * agg_in[1] + agg_out[1] * agg_in[0]) / (m * m)
@@ -428,23 +425,8 @@ def _eo_bisect(
     return None
 
 
-def _extremal(problem: _Problem, rng: np.random.Generator) -> np.ndarray:
-    codes = np.zeros(problem.n, dtype=np.int64)
-    next_label = 1
-    stack: list[np.ndarray] = [np.arange(problem.n)]
-    while stack:
-        sub = stack.pop()
-        if len(sub) < 2:
-            continue
-        sides = _eo_bisect(problem, sub, rng)
-        if sides is None:
-            continue
-        half = sub[sides == 1]
-        codes[half] = next_label
-        next_label += 1
-        stack.append(sub[sides == 0])
-        stack.append(half)
-    return _canonical(codes)
+def _extremal(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
+    return _bisect(problem, rng, _eo_bisect)
 
 
 # -- public entry points ---------------------------------------------------
@@ -479,8 +461,8 @@ def detect_spectral(layer: Layer, seed: int) -> DetectionResult:
 def detect_extremal(layer: Layer, seed: int) -> DetectionResult:
     """Recursive tau-EO bisection (tau = 1.4), seeded."""
     problem = _Problem(layer)
-    codes = _extremal(problem, np.random.default_rng(np.random.SeedSequence(seed)))
-    return _result(problem, codes, "e-1", seed)
+    codes, flags = _extremal(problem, np.random.default_rng(np.random.SeedSequence(seed)))
+    return _result(problem, codes, "e-1", seed, flags)
 
 
 def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
@@ -528,11 +510,7 @@ def _combo(problem: _Problem, script: ComboScript, seed: int | None) -> Detectio
             candidates = []
             for repeat in range(restarts):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, position, repeat]))
-                if tag == "s":
-                    cand, cand_flags = _spectral(problem, rng)
-                else:
-                    cand, cand_flags = _extremal(problem, rng), ()
-                candidates.append((cand, cand_flags))
+                candidates.append((_spectral if tag == "s" else _extremal)(problem, rng))
         for cand, cand_flags in candidates:
             cand_q = problem.q_of(cand)
             flags.extend(cand_flags)

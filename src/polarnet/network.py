@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from xml.etree import ElementTree
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ParseError, ValidationError
 
@@ -222,6 +223,23 @@ class Layer:
         )
 
 
+def symmetric_adjacency(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> csr_matrix:
+    """The undirected view of self-link-free links as an n×n CSR matrix.
+
+    Entries (i, j) and (j, i) both hold w(i->j) + w(j->i), and every row's
+    columns are sorted.  Each unordered pair's weights are added once, in
+    link order, and the sum is mirrored, so the two entries are equal bit
+    for bit.
+    """
+    keys, inverse = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_inverse=True)
+    sums = np.bincount(inverse, weights=weight, minlength=len(keys))
+    lo, hi = keys // n, keys % n
+    return csr_matrix(
+        (np.concatenate([sums, sums]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(n, n),
+    )
+
+
 # -- ingestion -------------------------------------------------------------
 
 
@@ -235,14 +253,39 @@ def _parse_weight(cell: str, path: str, line: int) -> float:
     return value
 
 
-def _parse_date(cell: str, path: str, line: int) -> date | None:
+def parse_date(cell: str, path: str | Path, line: int) -> date:
+    """The ISO date in a cell; anything else is a ParseError at ``path:line``."""
     cell = cell.strip()
-    if not cell:
-        return None
     try:
         return date.fromisoformat(cell)
     except ValueError:
-        raise ParseError(f"bad date {cell!r}", path=path, line=line) from None
+        raise ParseError(
+            f"bad date {cell!r} (expected YYYY-MM-DD)", path=str(path), line=line
+        ) from None
+
+
+def _not_utf8(path: str | Path) -> ParseError:
+    """ParseError at the first line of ``path`` that does not decode as UTF-8.
+
+    A text stream decodes in chunks, so its UnicodeDecodeError cannot name
+    the line; newline bytes never occur inside a UTF-8 sequence, so decoding
+    line by line finds it.
+    """
+    with open(path, "rb") as handle:
+        for line, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return ParseError("not UTF-8 text", path=str(path), line=line)
+    return ParseError("not UTF-8 text", path=str(path))
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file with any byte-order mark dropped and newlines as ``\\n``."""
+    try:
+        return Path(path).read_text("utf-8-sig")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -255,10 +298,13 @@ def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         line = 1
-        for cells in reader:
-            if len(cells) > 1 or (cells and cells[0].strip()):
-                yield line, cells
-            line = reader.line_num + 1
+        try:
+            for cells in reader:
+                if len(cells) > 1 or (cells and cells[0].strip()):
+                    yield line, cells
+                line = reader.line_num + 1
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -336,7 +382,9 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
             total += weight
             if not math.isfinite(total):
                 raise ParseError("link weights sum past the float range", path=where, line=line)
-        stamp = None if date_col is None else _parse_date(cells[date_col], where, line)
+        stamp = None
+        if date_col is not None and cells[date_col].strip():
+            stamp = parse_date(cells[date_col], where, line)
         links.append(LayerLink(source, target, weight, stamp))
     return Layer.from_links(name, links, weighted=weight_col is not None)
 
@@ -394,20 +442,19 @@ def read_merge_config(path: str | Path) -> PartyMergeConfig:
     """Parse key=value lines; the key '*' names the unaligned label."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", path=str(path), line=lineno)
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ParseError("empty key or value", path=str(path), line=lineno)
-            if key in mapping:
-                raise ParseError(f"duplicate key {key!r}", path=str(path), line=lineno)
-            mapping[key] = value
+    for lineno, raw_line in enumerate(read_text(path).split("\n"), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", path=str(path), line=lineno)
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ParseError("empty key or value", path=str(path), line=lineno)
+        if key in mapping:
+            raise ParseError(f"duplicate key {key!r}", path=str(path), line=lineno)
+        mapping[key] = value
     unaligned = mapping.pop("*", "unaligned")
     return PartyMergeConfig(mapping, unaligned)
 

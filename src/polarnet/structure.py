@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import UndefinedMetricError, ValidationError
-from .network import Layer, Partition
+from .network import Layer, Partition, symmetric_adjacency
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,14 @@ def kcore_decomposition(sub: GroupSubnetwork, *, convention: str = "undirected")
     if convention not in CORE_CONVENTIONS:
         raise ValidationError(f"unknown k-core convention {convention!r}")
     n = sub.n
-    # multiplicity[i][j]: directed links between i and j (1 or 2), symmetric.
-    multiplicity: list[dict[int, int]] = [dict() for _ in range(n)]
-    for s, t in zip(sub.src.tolist(), sub.dst.tolist()):
-        multiplicity[s][t] = multiplicity[s].get(t, 0) + 1
-        multiplicity[t][s] = multiplicity[t].get(s, 0) + 1
+    # Each neighbour pair holds its directed links (1 or 2); the undirected
+    # collapse counts a mutual pair as one edge.
+    adj = symmetric_adjacency(n, sub.src, sub.dst, np.ones(sub.n_links))
     if convention == "undirected":
-        current = np.array([len(d) for d in multiplicity], dtype=np.int64)
-    else:
-        current = np.array([sum(d.values()) for d in multiplicity], dtype=np.int64)
+        adj.data[:] = 1.0
+    bounds = adj.indptr.tolist()
+    nbr, links = adj.indices.tolist(), adj.data.astype(np.int64).tolist()
+    current = np.asarray(adj.sum(axis=1), dtype=np.int64).ravel()
     # Peel the lowest-degree node repeatedly; the running maximum of the
     # degree seen at removal time is each node's core number.
     core = np.zeros(n, dtype=np.int64)
@@ -135,9 +134,10 @@ def kcore_decomposition(sub: GroupSubnetwork, *, convention: str = "undirected")
         removed[pick] = True
         level = max(level, deg)
         core[pick] = level
-        for j, links in multiplicity[pick].items():
+        lo, hi = bounds[pick], bounds[pick + 1]
+        for j, step in zip(nbr[lo:hi], links[lo:hi]):
             if not removed[j]:
-                current[j] -= 1 if convention == "undirected" else links
+                current[j] -= step
                 heapq.heappush(heap, (int(current[j]), j))
     return KCoreResult(
         {sub.node_ids[i]: int(core[i]) for i in range(n)},

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 from scipy.special import chdtrc
 
 from .errors import ParseError, UndefinedMetricError, ValidationError
-from .network import Partition, read_table
+from .network import Partition, parse_date, read_table, read_text
 
 SIGNIFICANCE_METHODS = ("g", "pearson")
 
@@ -106,7 +106,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = (resources.files("polarnet") / "data" / _BUNDLED_STOPWORDS).read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8-sig")
+        text = read_text(path)
     words = set()
     for raw in text.splitlines():
         word = raw.strip()
@@ -305,14 +305,7 @@ def read_comments(path: str | Path) -> list[CommentRecord]:
         author, datecell = author.strip(), datecell.strip()
         if not author:
             raise ParseError("empty author", path=str(path), line=line)
-        when: date | None = None
-        if datecell:
-            try:
-                when = date.fromisoformat(datecell)
-            except ValueError:
-                raise ParseError(
-                    f"bad date {datecell!r} (expected YYYY-MM-DD)", path=str(path), line=line
-                ) from None
+        when = parse_date(datecell, path, line) if datecell else None
         records.append(CommentRecord(author=author, timestamp=when, text=text))
     if not records:
         raise ParseError("no comments found", path=str(path), line=1)

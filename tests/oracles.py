@@ -259,6 +259,19 @@ def apl_oracle(n: int, links: Iterable[tuple[int, int]]) -> float | None:
     return total / count if count else None
 
 
+def symmetric_adjacency_oracle(n: int, links: Iterable[Link]) -> list[dict[int, float]]:
+    """Per-node dicts of w(i->j) + w(j->i), built one link at a time.
+
+    Both entries of a pair receive the same additions in link order, so
+    they are equal bit for bit.  Self-links must already be dropped.
+    """
+    combined: list[dict[int, float]] = [dict() for _ in range(n)]
+    for s, t, w in links:
+        combined[s][t] = combined[s].get(t, 0.0) + w
+        combined[t][s] = combined[t].get(s, 0.0) + w
+    return combined
+
+
 def kcore_oracle(
     n: int, links: Iterable[tuple[int, int]], *, convention: str = "undirected"
 ) -> list[int]:

@@ -228,6 +228,16 @@ def test_duplicate_layer_name(fixture_dir, capsys):
     assert "given twice" in capsys.readouterr().err
 
 
+def test_latin1_layer_is_an_error_without_traceback(fixture_dir, capsys):
+    latin = fixture_dir / "latin.csv"
+    latin.write_bytes("source,target\nM\xfcller,c\n".encode("latin-1"))
+    code = main(["structure", "--layer", f"l={latin}", "--out", str(fixture_dir / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"polarnet: error: {latin}:2: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_layer_similarity_needs_two_layers(fixture_dir, capsys):
     code = main(
         ["layer-similarity", "--layer", f"retweets={fixture_dir / 'retweets.csv'}",

@@ -17,9 +17,10 @@ from polarnet.network import (
     LayerSchema,
     export_layer_csv,
     ingest_layer,
+    read_merge_config,
     read_node_table,
 )
-from polarnet.topics import read_comments
+from polarnet.topics import load_stopwords, read_comments
 
 # reader, header, two good rows, and a good row whose first quoted cell spans
 # three physical lines.
@@ -82,6 +83,34 @@ def test_error_after_multiline_cell_names_physical_line(tmp_path, kind):
     assert err.value.line == 5
     assert f"{path}:5:" in str(err.value)
     assert "found 1" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_latin1_row_fails_at_its_line(tmp_path, kind):
+    reader, header, rows, _ = READERS[kind]
+    path = tmp_path / "input.csv"
+    latin = "M\xfcller," + rows[1].split(",", 1)[1]
+    path.write_bytes("\n".join([header, rows[0], latin]).encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert err.value.line == 3
+    assert f"{path}:3: not UTF-8 text" in str(err.value)
+
+
+def test_latin1_merge_config_fails_at_its_line(tmp_path):
+    path = tmp_path / "merge.cfg"
+    path.write_bytes("# parties\nLeft=L\nM\xfcller=R\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        read_merge_config(path)
+    assert f"{path}:3: not UTF-8 text" in str(err.value)
+
+
+def test_latin1_stopword_list_fails_at_its_line(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes("und\nM\xfcller\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_stopwords(path)
+    assert f"{path}:2: not UTF-8 text" in str(err.value)
 
 
 @pytest.mark.parametrize("kind", FIXED_WIDTH)

@@ -6,8 +6,11 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import ids, layer_of
+from oracles import symmetric_adjacency_oracle
 from polarnet.errors import ParseError, ValidationError
 from polarnet.network import (
     Layer,
@@ -24,6 +27,7 @@ from polarnet.network import (
     ingest_layer,
     read_merge_config,
     read_node_table,
+    symmetric_adjacency,
 )
 
 
@@ -375,3 +379,41 @@ def test_metric_view_cached_and_copy_safe():
 
 def test_ids_helper():
     assert ids(3) == ("n0", "n1", "n2")
+
+
+# -- symmetrized adjacency -------------------------------------------------
+
+# (source, target, weight, day offset or None); sources and targets index a
+# registry that may hold nodes no link touches, and equal endpoints make
+# self-links, which the metric view drops.  Weights like 0.1, 0.2 and 0.3
+# sum to different floats in different orders.
+_ADJ_LINK = st.tuples(
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7]), st.floats(0.01, 10.0)),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), links=st.lists(_ADJ_LINK, max_size=30), weighted=st.booleans())
+@example(n=3, links=[], weighted=False)  # empty layer
+@example(  # one pair linked on four days both ways, two isolated nodes
+    n=4, links=[(0, 1, 0.1, 0), (0, 1, 0.2, 1), (1, 0, 0.3, 2), (1, 0, 0.7, 3)], weighted=True
+)
+def test_symmetric_adjacency_equals_dict_oracle_bit_for_bit(n, links, weighted):
+    registry = ids(n)
+    records = [
+        LayerLink(registry[s % n], registry[t % n], w if weighted else 1.0,
+                  None if day is None else date(2021, 3, 1 + day))
+        for s, t, w, day in links
+    ]
+    layer = Layer.from_links("l", records, weighted=weighted, node_ids=registry)
+    src, dst, w = layer.metric_view()
+    adj = symmetric_adjacency(n, src, dst, w)
+    expected = symmetric_adjacency_oracle(n, zip(src.tolist(), dst.tolist(), w.tolist()))
+    assert adj.shape == (n, n)
+    for i, row in enumerate(expected):
+        cells = slice(adj.indptr[i], adj.indptr[i + 1])
+        assert adj.indices[cells].tolist() == sorted(row)
+        assert adj.data[cells].tolist() == [row[j] for j in sorted(row)]
