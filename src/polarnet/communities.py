@@ -2,8 +2,11 @@
 
 Four building blocks, combinable into combo scripts like "esrfr-30":
 
-* ``f`` greedy agglomeration: start from singletons, repeatedly apply the
-  merge with the largest modularity gain until none is positive.
+* ``f`` greedy agglomeration (Clauset, Newman & Moore 2004): start from
+  singletons, repeatedly apply the merge with the largest modularity gain,
+  ties to the smallest (lo, hi) pair, until none is positive.  Each
+  community row keeps its best gain and partner, so a merge rescans only
+  the rows it touches.
 * ``s`` spectral bisection: recursive leading-eigenvector splits of the
   symmetrized modularity matrix, found by LAPACK ``eigh`` on the dense
   matrix of a small subgraph and by ARPACK ``eigsh`` on a matrix-free
@@ -141,37 +144,62 @@ def _better(q_a: float, codes_a: np.ndarray, q_b: float, codes_b: np.ndarray | N
 
 
 def _fast_greedy(problem: _Problem) -> np.ndarray:
+    """Clauset-Newman-Moore agglomeration from singletons.
+
+    Every merge joins the pair of communities with the largest modularity
+    gain, ties going to the smallest (lo, hi) pair, until no gain exceeds
+    ``IMPROVE_TOL``.  Each row keeps its best gain and its best partner (ties
+    to the smaller partner).  A merge of b into a recomputes row a; a
+    neighbour x takes a as its best partner when its new gain towards a
+    beats its old best, and is recomputed only when it loses its best
+    partner a or b to a lower gain.  Pairs that touch neither keep their
+    gains.
+    """
     n, m = problem.n, problem.m
-    # Python floats and lists: the same double arithmetic as numpy scalars,
-    # at a fraction of the per-access cost in this pop-and-merge loop.
-    k_out = problem.k_out.tolist()
-    k_in = problem.k_in.tolist()
-    bounds = problem.adj.indptr.tolist()
-    nbr, wboth = problem.adj.indices.tolist(), problem.adj.data.tolist()
-    conn = [dict(zip(nbr[lo:hi], wboth[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    alive = [True] * n
+    k_out, k_in = problem.k_out.copy(), problem.k_in.copy()
+    adj = problem.adj
+    spans = list(zip(adj.indptr.tolist(), adj.indptr[1:].tolist()))
+    nbr, wboth = adj.indices.tolist(), adj.data.tolist()
+    conn = [dict(zip(nbr[lo:hi], wboth[lo:hi])) for lo, hi in spans]
+    # Array copies of the rows for refresh; None once a merge changes the row.
+    row_to: list[np.ndarray | None] = [adj.indices[lo:hi] for lo, hi in spans]
+    row_w: list[np.ndarray | None] = [adj.data[lo:hi] for lo, hi in spans]
     members: list[list[int]] = [[i] for i in range(n)]
+    best_gain = np.full(n, -np.inf)  # -inf marks a dead or empty row
+    best_to = np.full(n, -1, dtype=np.int64)
 
-    def gain(a: int, b: int) -> float:
-        return conn[a][b] / m - (k_out[a] * k_in[b] + k_out[b] * k_in[a]) / (m * m)
+    def refresh(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute the best of each row in ``rows`` (none empty); returns
+        the keys and gains of all their pairs, row after row."""
+        for x in rows:
+            if row_to[x] is None:
+                row_to[x] = np.fromiter(conn[x], np.int64, len(conn[x]))
+                row_w[x] = np.fromiter(conn[x].values(), np.float64, len(conn[x]))
+        to = np.concatenate([row_to[x] for x in rows])
+        sizes = np.array([len(conn[x]) for x in rows])
+        own = np.repeat(rows, sizes)
+        # Elementwise double arithmetic, symmetric bit for bit:
+        # gain(x, y) == gain(y, x).
+        gains = np.concatenate([row_w[x] for x in rows]) / m - (
+            k_out[own] * k_in[to] + k_out[to] * k_in[own]
+        ) / (m * m)
+        starts = np.cumsum(sizes) - sizes
+        top = np.maximum.reduceat(gains, starts)
+        tied = np.where(gains == np.repeat(top, sizes), to, n)
+        best_gain[rows] = top
+        best_to[rows] = np.minimum.reduceat(tied, starts)
+        return to, gains
 
-    heap: list[tuple[float, int, int]] = []
-    for a in range(n):
-        for b in conn[a]:
-            if a < b:
-                heap.append((-gain(a, b), a, b))
-    heapq.heapify(heap)
-    while heap:
-        neg, a, b = heapq.heappop(heap)
-        if not alive[a] or not alive[b] or b not in conn[a]:
-            continue
-        current = gain(a, b)
-        if current != -neg:
-            continue  # stale entry; a fresher one is queued
-        if current <= IMPROVE_TOL:
+    refresh([x for x in range(n) if conn[x]])
+    while True:
+        # The first row holding the largest gain is the lo of the smallest
+        # tied (lo, hi) pair, and its best partner is that pair's hi: a
+        # partner below it would hold the same gain in an earlier row.
+        a = int(best_gain.argmax())
+        if best_gain[a] <= IMPROVE_TOL:
             break
+        b = int(best_to[a])
         # Merge b into a; a < b keeps the smallest label as the survivor.
-        alive[b] = False
         members[a].extend(members[b])
         members[b] = []
         k_out[a] += k_out[b]
@@ -183,15 +211,27 @@ def _fast_greedy(problem: _Problem) -> np.ndarray:
             conn[a][x] = conn[a].get(x, 0.0) + wx
             conn[x][a] = conn[a][x]
             del conn[x][b]
+            row_to[x] = row_w[x] = None
         conn[b] = {}
-        for x in conn[a]:
-            lo, hi = (a, x) if a < x else (x, a)
-            heapq.heappush(heap, (-gain(lo, hi), lo, hi))
+        row_to[a] = row_w[a] = None
+        best_gain[b] = -np.inf
+        if not conn[a]:
+            best_gain[a] = -np.inf
+            continue
+        keys, gains = refresh([a])
+        # Neighbour x keeps its other pairs, all at most its old best and,
+        # at that best, above a; so a gain towards a at least as high wins.
+        old, prev = best_gain[keys], best_to[keys]
+        take = (gains > old) | ((gains == old) & (prev >= a))
+        best_gain[keys[take]] = gains[take]
+        best_to[keys[take]] = a
+        lost = keys[~take & ((prev == a) | (prev == b))]
+        if len(lost):
+            refresh(lost.tolist())
     codes = np.empty(n, dtype=np.int64)
     for rep in range(n):
-        if alive[rep]:
-            for node in members[rep]:
-                codes[node] = rep
+        for node in members[rep]:
+            codes[node] = rep
     return _canonical(codes)
 
 
@@ -340,8 +380,13 @@ def _leading_vector(problem: _Problem, sub: np.ndarray, rng: np.random.Generator
 def _spectral_split(
     problem: _Problem, sub: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray | None:
-    """Sides by the sign of the leading vector, or None when the split does not raise Q."""
+    """Sides by the sign of the leading vector, or None when the split does not raise Q.
+
+    A node without links has a zero component in exact arithmetic; it goes
+    to side 1, where ``>= 0.0`` puts an exact zero, whatever the rounding.
+    """
     sides = (_leading_vector(problem, sub, rng) >= 0.0).astype(np.int64)
+    sides[problem.k_out[sub] + problem.k_in[sub] == 0.0] = 1
     if sides.min() == sides.max() or _split_gain(problem, sub, sides) <= IMPROVE_TOL:
         return None
     return sides

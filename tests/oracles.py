@@ -8,6 +8,7 @@ the convention is restated in the oracle's docstring.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -270,6 +271,60 @@ def symmetric_adjacency_oracle(n: int, links: Iterable[Link]) -> list[dict[int, 
         combined[s][t] = combined[s].get(t, 0.0) + w
         combined[t][s] = combined[t].get(s, 0.0) + w
     return combined
+
+
+def fast_greedy_oracle(n: int, links: Sequence[Link]) -> list[int]:
+    """Clauset-Newman-Moore greedy agglomeration through one global lazy heap.
+
+    Starting from singletons, pop the pair of largest gain
+    w(a,b)/m - (k_out_a k_in_b + k_out_b k_in_a)/m^2, ties going to the
+    smallest (a, b) with a < b, and merge b into a while the gain exceeds
+    1e-12.  Every merge pushes the surviving community's pairs again; a
+    popped entry whose gain no longer matches its pair is stale and
+    skipped.  Returns codes relabeled 0..G-1 in order of first appearance.
+    """
+    kept = [(s, t, w) for s, t, w in links if s != t]
+    k_out, k_in, m = degree_sums(n, kept)
+    conn = symmetric_adjacency_oracle(n, kept)
+    alive = [True] * n
+    members = [[i] for i in range(n)]
+
+    def gain(a: int, b: int) -> float:
+        return conn[a][b] / m - (k_out[a] * k_in[b] + k_out[b] * k_in[a]) / (m * m)
+
+    heap = [(-gain(a, b), a, b) for a in range(n) for b in conn[a] if a < b]
+    heapq.heapify(heap)
+    while heap:
+        neg, a, b = heapq.heappop(heap)
+        if not alive[a] or not alive[b] or b not in conn[a]:
+            continue
+        current = gain(a, b)
+        if current != -neg:
+            continue
+        if current <= 1e-12:
+            break
+        alive[b] = False
+        members[a].extend(members[b])
+        members[b] = []
+        k_out[a] += k_out[b]
+        k_in[a] += k_in[b]
+        del conn[a][b]
+        for x, wx in conn[b].items():
+            if x == a:
+                continue
+            conn[a][x] = conn[a].get(x, 0.0) + wx
+            conn[x][a] = conn[a][x]
+            del conn[x][b]
+        conn[b] = {}
+        for x in conn[a]:
+            lo, hi = (a, x) if a < x else (x, a)
+            heapq.heappush(heap, (-gain(lo, hi), lo, hi))
+    rep = [0] * n
+    for r in range(n):
+        for node in members[r]:
+            rep[node] = r
+    relabel: dict[int, int] = {}
+    return [relabel.setdefault(r, len(relabel)) for r in rep]
 
 
 def kcore_oracle(

@@ -5,10 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import layer_of, random_digraph
-from oracles import best_partition_oracle
+from oracles import best_partition_oracle, fast_greedy_oracle
 from polarnet import communities
 from polarnet.communities import (
     DEFAULT_PORTFOLIO,
@@ -105,6 +107,67 @@ def test_fast_greedy_matches_exhaustive_optimum():
     assert detect_fast(layer).q == pytest.approx(best_q, abs=1e-12)
 
 
+def _greedy_and_oracle(layer):
+    src, dst, w = layer.metric_view()
+    links = list(zip(src.tolist(), dst.tolist(), w.tolist()))
+    got = communities._fast_greedy(communities._Problem(layer)).tolist()
+    return got, fast_greedy_oracle(len(layer.node_ids), links)
+
+
+# (source, target, k, day offset or None) over a registry that may hold nodes
+# no link touches; equal endpoints make self-links, which the metric view
+# drops.  k sets the weight: 1 unweighted, 1 + k % 3 for small integers, k/8
+# for floats.  Eighths keep every sum exact, so the oracle's running total m
+# equals numpy's pairwise w.sum() and the gains agree bit for bit; repeats
+# on different days still add up to new pair weights.
+_GREEDY_LINK = st.tuples(
+    st.integers(0, 11),
+    st.integers(0, 11),
+    st.integers(1, 40),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    links=st.lists(_GREEDY_LINK, min_size=1, max_size=40),
+    kind=st.sampled_from(["unweighted", "integer", "eighths"]),
+)
+@example(  # two triangles, a self-link-only node n6 and an isolated n7
+    n=8,
+    links=[(0, 1, 1, None), (1, 2, 1, None), (2, 0, 1, None), (3, 4, 1, None),
+           (4, 5, 1, None), (5, 3, 1, None), (6, 6, 1, None)],
+    kind="unweighted",
+)
+@example(  # a neighbour's gain towards the survivor ties its best at a larger partner
+    n=6,
+    links=[(0, 5, 1, None), (2, 0, 1, None), (4, 0, 1, None), (3, 0, 1, None), (2, 4, 1, None),
+           (2, 2, 1, None), (5, 3, 1, None), (5, 4, 1, None), (4, 3, 1, None), (2, 5, 1, None),
+           (3, 4, 1, None)],
+    kind="unweighted",
+)
+def test_fast_greedy_equals_heap_oracle(n, links, kind):
+    weight = {"unweighted": lambda k: 1.0, "integer": lambda k: 1.0 + k % 3,
+              "eighths": lambda k: k / 8.0}[kind]
+    rows = [(s % n, t % n, weight(k), None if day is None else 738000 + day)
+            for s, t, k, day in links]
+    assume(any(s != t for s, t, _, _ in rows))
+    layer = layer_of(n, rows, weighted=kind != "unweighted")
+    got, expected = _greedy_and_oracle(layer)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "groups, size, p_in, p_out, seed",
+    [(2, 30, 0.3, 0.05, 1), (4, 25, 0.2, 0.03, 2), (6, 20, 0.25, 0.04, 3), (3, 50, 0.1, 0.05, 4)],
+)
+def test_fast_greedy_equals_heap_oracle_on_planted_layers(groups, size, p_in, p_out, seed):
+    layer = generate_planted_partition(groups, size, p_in, p_out, seed=seed)[0].layer("links")
+    got, expected = _greedy_and_oracle(layer)
+    assert got == expected
+
+
 def test_spectral_recovers_planted_groups():
     net, truth = generate_planted_partition(2, 12, 0.8, 0.05, seed=6)
     layer = net.layer("links")
@@ -160,6 +223,29 @@ def test_arpack_non_convergence_is_flagged(monkeypatch):
     result = detect_spectral(layer, seed=2)
     assert result.flags == ("eigsh did not converge on a subgraph of 600 nodes",)
     assert result.group_count == 1
+
+
+def test_spectral_side_of_unlinked_node_ignores_rounding(monkeypatch):
+    # n6 has only a self-link and n7 no link: their exact components are 0,
+    # so a rounding error of either sign must leave them on the same side.
+    links = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (6, 6)]
+    layer = layer_of(8, links)
+    problem = communities._Problem(layer)
+    leading = communities._leading_vector
+    sides, codes = [], []
+    for noise in (1e-17, -1e-17):
+
+        def noisy(problem, sub, rng, noise=noise):
+            vector = leading(problem, sub, rng)
+            vector[sub >= 6] = noise
+            return vector
+
+        monkeypatch.setattr(communities, "_leading_vector", noisy)
+        sides.append(communities._spectral_split(problem, np.arange(8), None).tolist())
+        codes.append(detect_spectral(layer, seed=1).partition.codes(layer.node_ids).tolist())
+    assert sides[0] == sides[1]
+    assert sides[0][6:] == [1, 1]
+    assert codes[0] == codes[1]
 
 
 def test_dense_spectral_stage_runs_one_restart(monkeypatch):
