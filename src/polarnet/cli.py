@@ -475,16 +475,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, with_nodes: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--layer",
         action="append",
         metavar="NAME=PATH",
         help="named layer CSV (repeatable; order fixes layer indices)",
     )
-    if with_nodes:
-        parser.add_argument("--nodes", metavar="PATH", help="node table CSV (node_id,affiliation)")
-        parser.add_argument("--merge", metavar="PATH", help="party merge config (key=value lines)")
+    parser.add_argument("--nodes", metavar="PATH", help="node table CSV (node_id,affiliation)")
+    parser.add_argument("--merge", metavar="PATH", help="party merge config (key=value lines)")
     parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
     parser.add_argument("--format", choices=FORMATS, default="csv", help="report file format")
 

@@ -12,6 +12,7 @@ import copy
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -26,6 +27,9 @@ from .errors import ParseError, ValidationError
 # Sentinel for "link has no timestamp" inside int64 day arrays.
 MISSING_DAY = np.iinfo(np.int64).min
 
+# The layer CSV columns, in positional order.
+LAYER_COLUMNS = ("source", "target", "weight", "date")
+
 
 @dataclass(frozen=True)
 class LayerLink:
@@ -39,24 +43,21 @@ class LayerLink:
 
 @dataclass(frozen=True)
 class LayerSchema:
-    """Column naming for layer CSV files; defaults match the canonical header."""
+    """How to read a layer CSV file: the layer name (default: the file stem)."""
 
     name: str | None = None
-    source: str = "source"
-    target: str = "target"
-    weight: str = "weight"
-    date: str = "date"
 
 
 class Layer:
     """A named directed layer over a node registry.
 
-    Construction normalizes links: rows merge by (source, target, day) with
-    accumulating weights when the layer is weighted, and collapse to a plain
-    link set (earliest known timestamp kept) when it is not.  Arrays are
-    sorted by (source, target, day), so equal link multisets produce equal
-    layers.  Self-links are kept in storage but excluded from metric views.
-    Instances are treated as immutable.
+    Construction merges duplicate rows with ``merge_links``.  A weighted
+    layer keeps one link per (source, target, day) and adds its rows'
+    weights in row order; an unweighted layer keeps one link per (source,
+    target), dated with its earliest real day (undated if no row has a
+    date).  Arrays are sorted by (source, target, day), so equal link
+    multisets produce equal layers.  Self-links are kept in storage but
+    excluded from metric views.  Instances are treated as immutable.
     """
 
     def __init__(
@@ -92,54 +93,37 @@ class Layer:
     ) -> "Layer":
         """Build a layer from link records, extending or reusing a registry."""
         links = list(links)
+        ends = [end for link in links for end in (link.source, link.target)]
+        registry = tuple(dict.fromkeys(ends) if node_ids is None else node_ids)
+        index = {node: i for i, node in enumerate(registry)}
+        codes = np.array([index.get(end, -1) for end in ends], dtype=np.int64).reshape(-1, 2)
+        w = np.array([link.weight for link in links], dtype=np.float64)
         if weighted is None:
-            weighted = any(link.weight != 1.0 for link in links)
-        if node_ids is None:
-            index: dict[str, int] = {}
-            for link in links:
-                index.setdefault(link.source, len(index))
-                index.setdefault(link.target, len(index))
-            registry = tuple(index)
-        else:
-            registry = tuple(node_ids)
-            index = {node: i for i, node in enumerate(registry)}
-        merged: dict[tuple, list] = {}
-        for link in links:
+            weighted = bool((w != 1.0).any())
+        bad = ~((w > 0) & (w < np.inf)) | (codes < 0).any(axis=1) | ((w != 1.0) & (not weighted))
+        if bad.any():
+            link = links[int(np.argmax(bad))]
             if not np.isfinite(link.weight) or link.weight <= 0:
                 raise ValidationError(
                     f"layer {name!r}: non-positive weight {link.weight!r} on "
                     f"{link.source!r} -> {link.target!r}"
                 )
-            try:
-                s, t = index[link.source], index[link.target]
-            except KeyError as exc:
-                raise ValidationError(f"layer {name!r}: unknown node {exc.args[0]!r}") from None
-            day = MISSING_DAY if link.timestamp is None else link.timestamp.toordinal()
-            if weighted:
-                entry = merged.setdefault((s, t, day), [0.0])
-                entry[0] += link.weight
-            else:
-                if link.weight != 1.0:
-                    raise ValidationError(
-                        f"layer {name!r}: unweighted layer requires unit weights"
-                    )
-                entry = merged.setdefault((s, t), [MISSING_DAY])
-                # Keep the earliest real timestamp seen for the pair.
-                if day != MISSING_DAY and (entry[0] == MISSING_DAY or day < entry[0]):
-                    entry[0] = day
-        if weighted:
-            keys = sorted(merged)
-            src = np.array([k[0] for k in keys], dtype=np.int64)
-            dst = np.array([k[1] for k in keys], dtype=np.int64)
-            day_arr = np.array([k[2] for k in keys], dtype=np.int64)
-            w = np.array([merged[k][0] for k in keys], dtype=np.float64)
-        else:
-            keys = sorted((s, t, merged[(s, t)][0]) for (s, t) in merged)
-            src = np.array([k[0] for k in keys], dtype=np.int64)
-            dst = np.array([k[1] for k in keys], dtype=np.int64)
-            day_arr = np.array([k[2] for k in keys], dtype=np.int64)
-            w = np.ones(len(keys), dtype=np.float64)
-        days = day_arr if (day_arr != MISSING_DAY).any() else None
+            unknown = link.source if link.source not in index else link.target
+            if unknown not in index:
+                raise ValidationError(f"layer {name!r}: unknown node {unknown!r}")
+            raise ValidationError(f"layer {name!r}: unweighted layer requires unit weights")
+        stamps = (link.timestamp for link in links)
+        day = np.array([MISSING_DAY if t is None else t.toordinal() for t in stamps], np.int64)
+        undated = np.iinfo(np.int64).max
+        if not weighted:
+            # Undated rows sort last, so each pair's first row holds its earliest real day.
+            day[day == MISSING_DAY] = undated
+        (src, dst, day), w = merge_links(w, codes[:, 0], codes[:, 1], day)
+        if not weighted:
+            first = (np.diff(src, prepend=-1) != 0) | (np.diff(dst, prepend=-1) != 0)
+            src, dst, day, w = src[first], dst[first], day[first], np.ones(np.count_nonzero(first))
+            day[day == undated] = MISSING_DAY
+        days = day if (day != MISSING_DAY).any() else None
         return cls(name, registry, src, dst, w, days, weighted)
 
     # -- basic accessors ---------------------------------------------------
@@ -223,6 +207,22 @@ class Layer:
         )
 
 
+def merge_links(weight: np.ndarray, *keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Merge rows with equal key columns into one row each, adding their weights.
+
+    Returns the distinct rows of ``keys`` in sorted order (the first column
+    sorts first) and each row's weight sum as float64.  The sort is stable
+    and ``bincount`` adds in index order, so every sum adds its rows'
+    weights in row order, bit for bit as a running total would.
+    """
+    order = np.lexsort(keys[::-1])
+    columns = [key[order] for key in keys]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in columns])
+    sums = np.bincount(np.cumsum(first) - 1, weights=weight[order])
+    return tuple(col[first] for col in columns), sums.astype(np.float64)
+
+
 def symmetric_adjacency(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> csr_matrix:
     """The undirected view of self-link-free links as an n×n CSR matrix.
 
@@ -231,9 +231,7 @@ def symmetric_adjacency(n: int, src: np.ndarray, dst: np.ndarray, weight: np.nda
     link order, and the sum is mirrored, so the two entries are equal bit
     for bit.
     """
-    keys, inverse = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_inverse=True)
-    sums = np.bincount(inverse, weights=weight, minlength=len(keys))
-    lo, hi = keys // n, keys % n
+    (lo, hi), sums = merge_links(weight, np.minimum(src, dst), np.maximum(src, dst))
     return csr_matrix(
         (np.concatenate([sums, sums]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),
@@ -254,14 +252,15 @@ def _parse_weight(cell: str, path: str, line: int) -> float:
 
 
 def parse_date(cell: str, path: str | Path, line: int) -> date:
-    """The ISO date in a cell; anything else is a ParseError at ``path:line``."""
+    """The YYYY-MM-DD date in a cell; anything else is a ParseError at ``path:line``."""
     cell = cell.strip()
-    try:
-        return date.fromisoformat(cell)
-    except ValueError:
-        raise ParseError(
-            f"bad date {cell!r} (expected YYYY-MM-DD)", path=str(path), line=line
-        ) from None
+    # From Python 3.11 on, fromisoformat also reads forms like 20130105 and 2013-W01-1.
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cell):
+        try:
+            return date.fromisoformat(cell)
+        except ValueError:
+            pass
+    raise ParseError(f"bad date {cell!r} (expected YYYY-MM-DD)", path=str(path), line=line)
 
 
 def _not_utf8(path: str | Path) -> ParseError:
@@ -328,34 +327,32 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
 def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
     """Read a layer CSV with columns source,target[,weight][,date].
 
-    A header on line 1 naming the schema's source and target columns maps
-    every column by name; otherwise rows are read positionally (2 columns
+    A header on line 1 whose first two cells are source,target maps every
+    column by name; otherwise rows are read positionally (2 columns
     unweighted, 3 with weight, 4 with weight and date).  The layer is
     weighted exactly when a weight column is present.
     """
-    schema = schema or LayerSchema()
     path = Path(path)
     where = str(path)
-    name = schema.name or path.stem
-    names = (schema.source, schema.target, schema.weight, schema.date)
+    name = (schema.name if schema else None) or path.stem
     rows = csv_rows(path)
     first = next(rows, None)
     if first is None:
         return Layer.from_links(name, [], weighted=False)
     line, cells = first
     header = [cell.strip().casefold() for cell in cells]
-    if line == 1 and header[:2] == [schema.source.casefold(), schema.target.casefold()]:
+    if line == 1 and header[:2] == ["source", "target"]:
         positions = {column: i for i, column in enumerate(header)}
-        cols = tuple(positions.get(column.casefold()) for column in names)
+        cols = tuple(positions.get(column) for column in LAYER_COLUMNS)
         columns = [cell.strip() for cell in cells]
     else:
         if not 2 <= len(cells) <= 4:
             raise ParseError(
-                f"expected 2 to 4 columns ({','.join(names)}), found {len(cells)}",
+                f"expected 2 to 4 columns ({','.join(LAYER_COLUMNS)}), found {len(cells)}",
                 path=where, line=line,
             )
         cols = tuple(i if i < len(cells) else None for i in range(4))
-        columns = names[: len(cells)]
+        columns = LAYER_COLUMNS[: len(cells)]
         rows = itertools.chain([first], rows)
     src_col, dst_col, weight_col, date_col = cols
     width = len(cells)
@@ -402,7 +399,7 @@ def export_layer_csv(layer: Layer, path: str | Path) -> None:
         for link in layer.links():
             row = [link.source, link.target]
             if layer.weighted:
-                row.append(format(link.weight, ".12g"))
+                row.append(repr(link.weight))
             if layer.has_timestamps:
                 row.append(link.timestamp.isoformat() if link.timestamp else "")
             writer.writerow(row)
@@ -748,7 +745,7 @@ def export_graphml(
         for link in network.layers[name].links():
             el = ElementTree.SubElement(graph, "edge", source=link.source, target=link.target)
             ElementTree.SubElement(el, "data", key="d1").text = name
-            ElementTree.SubElement(el, "data", key="d2").text = format(link.weight, ".12g")
+            ElementTree.SubElement(el, "data", key="d2").text = repr(link.weight)
             if link.timestamp is not None:
                 ElementTree.SubElement(el, "data", key="d3").text = link.timestamp.isoformat()
     tree = ElementTree.ElementTree(root)

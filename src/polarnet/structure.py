@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import UndefinedMetricError, ValidationError
-from .network import Layer, Partition, symmetric_adjacency
+from .network import Layer, Partition, merge_links, symmetric_adjacency
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,9 @@ def group_subnetwork(layer: Layer, partition: Partition, label: str) -> GroupSub
     src, dst, w = layer.metric_view()
     ls, lt = lut[src], lut[dst]
     keep = (ls >= 0) & (lt >= 0)
-    # One key per (source, target) pair; np.unique sorts them and bincount
-    # adds each pair's weights in link order.
-    keys, inverse = np.unique(ls[keep] * len(local) + lt[keep], return_inverse=True)
+    (sub_src, sub_dst), sub_weight = merge_links(w[keep], ls[keep], lt[keep])
     return GroupSubnetwork(
-        label,
-        tuple(layer.node_ids[i] for i in local),
-        keys // len(local),
-        keys % len(local),
-        np.bincount(inverse, weights=w[keep], minlength=len(keys)).astype(np.float64),
+        label, tuple(layer.node_ids[i] for i in local), sub_src, sub_dst, sub_weight
     )
 
 

@@ -273,6 +273,62 @@ def symmetric_adjacency_oracle(n: int, links: Iterable[Link]) -> list[dict[int, 
     return combined
 
 
+def layer_merge_oracle(
+    links: Sequence[tuple], weighted: bool | None, node_ids: Sequence[str] | None
+) -> tuple[tuple[str, ...], list[int], list[int], list[float], list[int] | None]:
+    """Merge (source, target, weight, date or None) records one at a time into a dict.
+
+    Returns (registry, src, dst, weight, days or None), sorted by
+    (src, dst, day), where an undated day is -2**63.  A registry not given
+    lists the endpoints in first-seen order.  Weighted layers add each
+    (source, target, day)'s weights in record order, starting from 0.0;
+    unweighted layers keep one link per (source, target) with its earliest
+    real day.  The first bad record raises ValueError with the message the
+    library puts after the layer name: a weight that is not finite and
+    positive, then an unknown source or target, then a weight other than 1
+    on an unweighted layer.
+    """
+    missing = -(2**63)
+    if weighted is None:
+        weighted = any(w != 1.0 for _, _, w, _ in links)
+    index: dict[str, int] = {}
+    if node_ids is None:
+        for s, t, _, _ in links:
+            index.setdefault(s, len(index))
+            index.setdefault(t, len(index))
+    else:
+        index = {node: i for i, node in enumerate(node_ids)}
+    merged: dict[tuple, float | int] = {}
+    for source, target, w, when in links:
+        if not math.isfinite(w) or w <= 0:
+            raise ValueError(f"non-positive weight {w!r} on {source!r} -> {target!r}")
+        for node in (source, target):
+            if node not in index:
+                raise ValueError(f"unknown node {node!r}")
+        s, t = index[source], index[target]
+        day = missing if when is None else when.toordinal()
+        if weighted:
+            merged[(s, t, day)] = merged.get((s, t, day), 0.0) + w
+            continue
+        if w != 1.0:
+            raise ValueError("unweighted layer requires unit weights")
+        kept = merged.setdefault((s, t), missing)
+        if day != missing and (kept == missing or day < kept):
+            merged[(s, t)] = day
+    if weighted:
+        rows = sorted((*key, w) for key, w in merged.items())
+    else:
+        rows = sorted((s, t, day, 1.0) for (s, t), day in merged.items())
+    days = [row[2] for row in rows]
+    return (
+        tuple(index),
+        [row[0] for row in rows],
+        [row[1] for row in rows],
+        [row[3] for row in rows],
+        days if any(day != missing for day in days) else None,
+    )
+
+
 def fast_greedy_oracle(n: int, links: Sequence[Link]) -> list[int]:
     """Clauset-Newman-Moore greedy agglomeration through one global lazy heap.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarnet.cli import _read_events
@@ -125,6 +125,26 @@ def test_header_with_an_extra_column_fails_at_line_one(tmp_path, kind):
     assert f"expected {width} columns ({header}), found {width + 1}" in str(err.value)
 
 
+# header, a good row, and a row holding the date under test
+DATED = {
+    "layer": ("source,target,weight,date", "a,c,1,2013-01-04", "a,b,1,{day}"),
+    "events": ("date,label", "2013-01-04,Debate", "{day},Vote"),
+    "comments": ("author,date,text", "u0,2013-01-04,hi", "u1,{day},hello"),
+}
+
+
+# Other ISO 8601 forms, which ``date.fromisoformat`` reads from Python 3.11 on.
+@pytest.mark.parametrize("day", ["20130105", "2013-W01-1"])
+@pytest.mark.parametrize("kind", sorted(DATED))
+def test_dates_other_than_yyyy_mm_dd_fail_at_their_line(tmp_path, kind, day):
+    header, good, row = DATED[kind]
+    path = tmp_path / f"{kind}.csv"
+    _write(path, "\n".join([header, good, row.format(day=day)]) + "\n")
+    with pytest.raises(ParseError) as err:
+        READERS[kind][0](path)
+    assert f"{path}:3: bad date {day!r} (expected YYYY-MM-DD)" in str(err.value)
+
+
 def test_header_is_recognized_on_line_one_only(tmp_path):
     path = tmp_path / "nodes.csv"
     path.write_text("\nnode_id,affiliation\na,Left\n")
@@ -137,7 +157,7 @@ _NODE = st.text(alphabet='ab,"é ', min_size=1, max_size=4).filter(
 _LINK = st.tuples(
     _NODE,
     _NODE,
-    st.integers(1, 40).map(lambda k: k / 4),
+    st.one_of(st.integers(1, 40).map(lambda k: k / 4), st.sampled_from([0.1, 0.2, 0.3, 0.7])),
     st.one_of(st.none(), st.dates(date(2000, 1, 1), date(2030, 12, 31))),
 )
 
@@ -145,6 +165,7 @@ _LINK = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(links=st.lists(_LINK, min_size=1, max_size=12), weighted=st.booleans(),
        dated=st.booleans())
+@example(links=[("a", "b", 0.1, None), ("a", "b", 0.2, None)], weighted=True, dated=False)
 def test_exported_layer_reingests_equal_with_bom_and_crlf(tmp_path_factory, links, weighted,
                                                            dated):
     records = [LayerLink(s, t, w if weighted else 1.0, d if dated else None)

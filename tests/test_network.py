@@ -1,6 +1,7 @@
 """Ingestion, merge semantics, registries, partitions and synthetic graphs."""
 from __future__ import annotations
 
+import math
 from datetime import date
 from xml.etree import ElementTree
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ids, layer_of
-from oracles import symmetric_adjacency_oracle
+from oracles import layer_merge_oracle, symmetric_adjacency_oracle
 from polarnet.errors import ParseError, ValidationError
 from polarnet.network import (
     Layer,
@@ -160,6 +161,71 @@ def test_export_round_trip(tmp_path):
 def test_unknown_node_rejected_with_fixed_registry():
     with pytest.raises(ValidationError):
         Layer.from_links("l", [LayerLink("a", "zzz")], node_ids=("a", "b"))
+
+
+# (source, target, weight, day offset or None).  Weights like 0.1, 0.2, 0.3
+# and 0.7 sum to different floats in different orders; "e" is missing from
+# the short registry, and "x" in the long one links to nothing.
+_MERGE_LINK = st.tuples(
+    st.sampled_from("abcde"),
+    st.sampled_from("abcde"),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+_SPOIL = st.one_of(
+    st.none(), st.tuples(st.integers(0, 29), st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    links=st.lists(_MERGE_LINK, max_size=30),
+    weighted=st.sampled_from([True, False, None]),
+    unit=st.booleans(),
+    spoil=_SPOIL,
+    node_ids=st.sampled_from([None, ("d", "c", "x", "b", "a", "e"), ("a", "b", "c", "d")]),
+)
+@example(links=[], weighted=None, unit=False, spoil=None, node_ids=None)  # empty layer
+@example(  # nine weights of one link: a sequential sum, not numpy's pairwise one
+    links=[("a", "b", w, 0) for w in (0.1, 0.3, 0.2, 0.3, 0.1, 0.1, 0.3, 0.7, 0.1)],
+    weighted=True, unit=False, spoil=None, node_ids=None,
+)
+@example(  # one pair dated, undated and dated earlier: the earliest day stays
+    links=[("a", "b", 1.0, 2), ("a", "b", 1.0, None), ("a", "b", 1.0, 0), ("b", "b", 1.0, None)],
+    weighted=False, unit=True, spoil=None, node_ids=None,
+)
+def test_from_links_equals_dict_merge_oracle(links, weighted, unit, spoil, node_ids):
+    records = [
+        (s, t, 1.0 if unit else w, None if day is None else date(2021, 3, 1 + day))
+        for s, t, w, day in links
+    ]
+    if spoil is not None and spoil[0] < len(records):
+        s, t, _, when = records[spoil[0]]
+        records[spoil[0]] = (s, t, spoil[1], when)
+
+    def build() -> Layer:
+        links = [LayerLink(*record) for record in records]
+        return Layer.from_links("l", links, weighted=weighted, node_ids=node_ids)
+
+    try:
+        registry, src, dst, weight, days = layer_merge_oracle(records, weighted, node_ids)
+    except ValueError as exc:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"layer 'l': {exc}"
+        return
+    layer = build()
+    assert layer.node_ids == registry
+    assert layer.weighted == (any(r[2] != 1.0 for r in records) if weighted is None else weighted)
+    assert (layer.src.dtype, layer.dst.dtype, layer.weight.dtype) == (np.int64, np.int64, np.float64)
+    assert layer.src.tolist() == src
+    assert layer.dst.tolist() == dst
+    assert layer.weight.tolist() == weight
+    if days is None:
+        assert layer.days is None
+    else:
+        assert layer.days.dtype == np.int64
+        assert layer.days.tolist() == days
 
 
 # -- node table / merge ----------------------------------------------------
