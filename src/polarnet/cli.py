@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -203,6 +203,16 @@ def _emit(args: argparse.Namespace, stem: str, header: Sequence[str], rows: list
 # -- subcommands -----------------------------------------------------------
 
 
+def _estimate(
+    args: argparse.Namespace, metric: Callable, network: MultiplexNetwork, layers: tuple[str, ...]
+) -> list[Any]:
+    """[point, jack_mean, two_sigma, unreliable] of a metric reading only ``layers``."""
+    if args.no_jackknife:
+        return [metric(network), None, None, None]
+    est = jackknife(metric, network, only_layers=layers)
+    return [est.point, est.jack_mean, est.two_sigma, est.unreliable]
+
+
 def cmd_layer_similarity(args: argparse.Namespace) -> int:
     run = _load_run(args, need_partition=False, min_layers=2)
     names = run.layer_names
@@ -212,23 +222,12 @@ def cmd_layer_similarity(args: argparse.Namespace) -> int:
         for y in names:
             if x == y:
                 continue
-            overlap = partial_jaccard(run.network.layer(x), run.network.layer(y))
-            nmi_xy = link_nmi(run.network.layer(x), run.network.layer(y), args.estimator)[0]
-            for metric_name, point, fn in (
-                ("overlap", overlap, lambda net, a=x, b=y: partial_jaccard(net.layer(a), net.layer(b))),
-                (
-                    "nmi",
-                    nmi_xy,
-                    lambda net, a=x, b=y: link_nmi(net.layer(a), net.layer(b), args.estimator)[0],
-                ),
-            ):
-                if args.no_jackknife:
-                    rows.append([metric_name, x, y, point, None, None, None])
-                else:
-                    est = jackknife(fn, run.network, only_layers=(x, y))
-                    rows.append(
-                        [metric_name, x, y, est.point, est.jack_mean, est.two_sigma, est.unreliable]
-                    )
+            metrics = {
+                "overlap": lambda net, a=x, b=y: partial_jaccard(net.layer(a), net.layer(b)),
+                "nmi": lambda net, a=x, b=y: link_nmi(net.layer(a), net.layer(b), args.estimator)[0],
+            }
+            for metric_name, fn in metrics.items():
+                rows.append([metric_name, x, y, *_estimate(args, fn, run.network, (x, y))])
     _emit(args, "layer_similarity", header, rows)
     return 0
 
@@ -263,13 +262,7 @@ def cmd_polarization(args: argparse.Namespace) -> int:
                 return q_modularity(net.layer(_name), None, codes=codes, n_groups=n_groups)
 
             detection = _detect(layer, scripts, root_seed, layer_index, variant_index)
-            if args.no_jackknife:
-                point = q_party(network)
-                jack = [None, None, None]
-            else:
-                est = jackknife(q_party, network, only_layers=(name,))
-                point = est.point
-                jack = [est.jack_mean, est.two_sigma, est.unreliable]
+            point, *jack = _estimate(args, q_party, network, (name,))
             rows.append(
                 [
                     name,

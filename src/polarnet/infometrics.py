@@ -1,11 +1,12 @@
 """Link-overlap and information-theoretic similarity between layers.
 
 Layers are binarized to sets of ordered non-self node pairs over the shared
-registry; similarity is then set overlap (Jaccard, partial Jaccard) or
-normalized mutual information over the 2x2 pair-indicator table.  Entropies
-are in bits and use the Miller-Madow corrected estimator by default, with the
-plain maximum-likelihood estimator available as a switch.  Error bars come
-from leave-one-node-out jackknife resampling.
+registry, held as sorted int64 pair keys.  ``LinkIndicatorPair`` intersects
+two such sets into the 2x2 pair-indicator table, which every similarity
+reads: set overlap (Jaccard, partial Jaccard) or normalized mutual
+information.  Entropies are in bits and use the Miller-Madow corrected
+estimator by default, with the plain maximum-likelihood estimator available
+as a switch.  Error bars come from leave-one-node-out jackknife resampling.
 """
 from __future__ import annotations
 
@@ -27,23 +28,32 @@ def _check_shared_registry(x: Layer, y: Layer) -> None:
         )
 
 
+def _link_keys(layer: Layer) -> np.ndarray:
+    """Sorted keys src·N + dst of the layer's distinct non-self pairs.
+
+    N is the registry size, which ``drop_node`` keeps, so keys never collide.
+    Arrays sorted by (source, target, day) put a pair's days in one run of keys.
+    """
+    src, dst, _ = layer.metric_view()
+    keys = src * len(layer.node_ids) + dst
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def jaccard(x: Layer, y: Layer) -> float:
     """|X ∩ Y| / |X ∪ Y| over the layers' link sets."""
-    _check_shared_registry(x, y)
-    a, b = x.link_pairs(), y.link_pairs()
-    union = len(a | b)
+    pair = LinkIndicatorPair.from_layers(x, y)
+    union = pair.n11 + pair.n10 + pair.n01
     if union == 0:
         raise UndefinedMetricError("both layers are empty")
-    return len(a & b) / union
+    return pair.n11 / union
 
 
 def partial_jaccard(x: Layer, y: Layer) -> float:
     """|X ∩ Y| / |Y|: the share of Y's links also present in X."""
-    _check_shared_registry(x, y)
-    a, b = x.link_pairs(), y.link_pairs()
-    if not b:
+    pair = LinkIndicatorPair.from_layers(x, y)
+    if pair.n11 + pair.n01 == 0:
         raise UndefinedMetricError(f"layer {y.name!r} has no links")
-    return len(a & b) / len(b)
+    return pair.n11 / (pair.n11 + pair.n01)
 
 
 def entropy_ml(counts: Sequence[float] | np.ndarray) -> float:
@@ -131,12 +141,11 @@ class LinkIndicatorPair:
     def from_layers(cls, x: Layer, y: Layer) -> "LinkIndicatorPair":
         _check_shared_registry(x, y)
         n = x.node_count
-        total = n * (n - 1)
-        a, b = x.link_pairs(), y.link_pairs()
-        n11 = len(a & b)
+        a, b = _link_keys(x), _link_keys(y)
+        n11 = len(np.intersect1d(a, b, assume_unique=True))
         n10 = len(a) - n11
         n01 = len(b) - n11
-        n00 = total - n11 - n10 - n01
+        n00 = n * (n - 1) - n11 - n10 - n01
         if n00 < 0:
             raise ValidationError("link sets exceed the ordered-pair universe")
         return cls(n11, n10, n01, n00)

@@ -80,7 +80,6 @@ class Layer:
         self.weighted = weighted
         self.node_count = len(node_ids) if node_count is None else node_count
         self._metric_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._link_pairs: frozenset[tuple[int, int]] | None = None
 
     @classmethod
     def from_links(
@@ -104,8 +103,9 @@ class Layer:
         if bad.any():
             link = links[int(np.argmax(bad))]
             if not np.isfinite(link.weight) or link.weight <= 0:
+                kind = "non-positive" if np.isfinite(link.weight) else "non-finite"
                 raise ValidationError(
-                    f"layer {name!r}: non-positive weight {link.weight!r} on "
+                    f"layer {name!r}: {kind} weight {link.weight!r} on "
                     f"{link.source!r} -> {link.target!r}"
                 )
             unknown = link.source if link.source not in index else link.target
@@ -166,13 +166,6 @@ class Layer:
     @property
     def metric_weight(self) -> float:
         return float(self.metric_view()[2].sum())
-
-    def link_pairs(self) -> frozenset[tuple[int, int]]:
-        """Distinct (source, target) index pairs, self-pairs excluded."""
-        if self._link_pairs is None:
-            src, dst, _ = self.metric_view()
-            self._link_pairs = frozenset(zip(src.tolist(), dst.tolist()))
-        return self._link_pairs
 
     # -- derived copies ----------------------------------------------------
 
@@ -246,7 +239,9 @@ def _parse_weight(cell: str, path: str, line: int) -> float:
         value = float(cell)
     except ValueError:
         raise ParseError(f"bad weight {cell!r}", path=path, line=line) from None
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite weight {cell!r}", path=path, line=line)
+    if value <= 0:
         raise ParseError(f"non-positive weight {cell!r}", path=path, line=line)
     return value
 

@@ -284,7 +284,7 @@ def layer_merge_oracle(
     (source, target, day)'s weights in record order, starting from 0.0;
     unweighted layers keep one link per (source, target) with its earliest
     real day.  The first bad record raises ValueError with the message the
-    library puts after the layer name: a weight that is not finite and
+    library puts after the layer name: a weight that is not finite, or not
     positive, then an unknown source or target, then a weight other than 1
     on an unweighted layer.
     """
@@ -300,7 +300,9 @@ def layer_merge_oracle(
         index = {node: i for i, node in enumerate(node_ids)}
     merged: dict[tuple, float | int] = {}
     for source, target, w, when in links:
-        if not math.isfinite(w) or w <= 0:
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite weight {w!r} on {source!r} -> {target!r}")
+        if w <= 0:
             raise ValueError(f"non-positive weight {w!r} on {source!r} -> {target!r}")
         for node in (source, target):
             if node not in index:
@@ -436,3 +438,22 @@ def window_filter_oracle(
         if day is not None and start_ordinal <= day < start_ordinal + width_days:
             kept.append((s, t, w, day))
     return kept
+
+
+def link_overlap_oracle(
+    n: int, x_links: frozenset, y_links: frozenset
+) -> tuple[tuple[int, int, int, int], float | None, float | None]:
+    """Pair-indicator counts, Jaccard and partial Jaccard of two link sets.
+
+    ``x_links`` and ``y_links`` hold the distinct non-self (source, target)
+    pairs of layers X and Y; the universe is the n(n - 1) ordered non-self
+    pairs of the n active nodes.  Returns ((n11, n10, n01, n00),
+    |X ∩ Y| / |X ∪ Y|, |X ∩ Y| / |Y|), with None for a ratio whose
+    denominator is 0.
+    """
+    both = x_links & y_links
+    union = x_links | y_links
+    counts = (len(both), len(x_links - y_links), len(y_links - x_links), n * (n - 1) - len(union))
+    jaccard = len(both) / len(union) if union else None
+    partial = len(both) / len(y_links) if y_links else None
+    return counts, jaccard, partial

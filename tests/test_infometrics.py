@@ -1,11 +1,15 @@
 """Set overlap, entropy/NMI estimators and jackknife resampling."""
 from __future__ import annotations
 
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import ids, layer_of, partition_of, random_digraph
-from oracles import entropy_oracle, mutual_information_oracle
+from oracles import entropy_oracle, link_overlap_oracle, mutual_information_oracle
 from polarnet.errors import UndefinedMetricError, ValidationError
 from polarnet.infometrics import (
     LinkIndicatorPair,
@@ -19,7 +23,8 @@ from polarnet.infometrics import (
     partial_jaccard,
     partition_nmi,
 )
-from polarnet.network import MultiplexNetwork, Partition
+from polarnet.network import Layer, LayerLink, MultiplexNetwork, Partition, filter_partition
+from polarnet.timeseries import window_slice
 
 
 # -- link-set overlap ------------------------------------------------------
@@ -70,6 +75,120 @@ def test_overlap_errors():
         jaccard(full, other)
     with pytest.raises(ValidationError):
         partial_jaccard(full, other)
+
+
+# (source, target, weight, day offset or None) over the nodes a..e.  Many
+# draws repeat a pair on several days or hold self-links.
+_NODES = "abcde"
+_DAY0 = date(2021, 3, 1)
+_OVERLAP_LINK = st.tuples(
+    st.sampled_from(_NODES),
+    st.sampled_from(_NODES),
+    st.sampled_from([1.0, 2.0]),
+    st.one_of(st.none(), st.integers(0, 2)),
+)
+_OVERLAP_LAYER = st.tuples(st.lists(_OVERLAP_LINK, max_size=14), st.booleans())
+_VARIANTS = ("plain", "mismatch", "assemble", "drop1", "drop2", "filter", "window")
+
+
+def _overlap_layer(name, records, weighted, node_ids=None):
+    links = [
+        LayerLink(s, t, w if weighted else 1.0, None if day is None else _DAY0 + timedelta(day))
+        for s, t, w, day in records
+    ]
+    return Layer.from_links(name, links, weighted=weighted, node_ids=node_ids)
+
+
+def _windowed_pairs(records, weighted, lo, hi):
+    """Pairs dated in [lo, hi): any of a weighted pair's days, an unweighted pair's earliest."""
+    days: dict[tuple[str, str], list[int]] = {}
+    for s, t, _, day in records:
+        if s != t and day is not None:
+            days.setdefault((s, t), []).append(day)
+    if weighted:
+        return frozenset(p for p, ds in days.items() if any(lo <= d < hi for d in ds))
+    return frozenset(p for p, ds in days.items() if lo <= min(ds) < hi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=_OVERLAP_LAYER,
+    y=_OVERLAP_LAYER,
+    variant=st.sampled_from(_VARIANTS),
+    table_order=st.permutations(_NODES),
+    drop_order=st.permutations(_NODES),
+    labels=st.lists(st.sampled_from("pq"), min_size=5, max_size=5),
+    window=st.tuples(st.integers(0, 2), st.integers(1, 2)),
+)
+@example(  # one weighted pair on three days and a self-link against the same pair once
+    x=([("a", "b", 1.0, 0), ("a", "b", 2.0, 1), ("a", "b", 1.0, 2), ("c", "c", 1.0, 0)], True),
+    y=([("a", "b", 1.0, None)], False),
+    variant="plain", table_order=tuple(_NODES), drop_order=tuple(_NODES),
+    labels=list("ppppp"), window=(0, 1),
+)
+@example(  # after one drop, keys src·(n-1) + dst would collide: (a, e) and (b, a)
+    x=([("a", "e", 1.0, None), ("b", "a", 1.0, None)], False),
+    y=([("b", "a", 1.0, None)], False),
+    variant="drop1", table_order=tuple(_NODES), drop_order=tuple("cabde"),
+    labels=list("ppppp"), window=(0, 1),
+)
+@example(  # two empty layers
+    x=([], False), y=([], True), variant="plain", table_order=tuple(_NODES),
+    drop_order=tuple(_NODES), labels=list("ppppp"), window=(0, 1),
+)
+def test_overlap_equals_set_oracle(x, y, variant, table_order, drop_order, labels, window):
+    """The key intersection equals set arithmetic on the layers' (source, target) pairs."""
+    (x_records, x_weighted), (y_records, y_weighted) = x, y
+    x_pairs = frozenset((s, t) for s, t, _, _ in x_records if s != t)
+    y_pairs = frozenset((s, t) for s, t, _, _ in y_records if s != t)
+    nodes = set(_NODES)
+    if variant in ("plain", "mismatch"):
+        lx = _overlap_layer("x", x_records, x_weighted, node_ids=tuple(_NODES))
+        y_ids = tuple(reversed(_NODES)) if variant == "mismatch" else tuple(_NODES)
+        ly = _overlap_layer("y", y_records, y_weighted, node_ids=y_ids)
+    else:
+        # First-seen registries per layer, unified in the node table's order.
+        table = {node: label for node, label in zip(table_order, labels)}
+        network = MultiplexNetwork.assemble(
+            [_overlap_layer("x", x_records, x_weighted), _overlap_layer("y", y_records, y_weighted)],
+            table,
+        )
+        if variant in ("drop1", "drop2"):
+            for node in drop_order[: int(variant[-1])]:
+                network = network.drop_node(node)
+                nodes.discard(node)
+        elif variant == "filter":
+            assume("p" in labels)
+            network, _ = filter_partition(network, Partition.from_assignment(table), "q")
+            nodes = {node for node in _NODES if table[node] == "p"}
+        lx, ly = network.layer("x"), network.layer("y")
+        if variant == "window":
+            assume(lx.has_timestamps and ly.has_timestamps)
+            start, width = window
+            lx = window_slice(lx, _DAY0 + timedelta(start), width, permissive=True)
+            ly = window_slice(ly, _DAY0 + timedelta(start), width, permissive=True)
+            x_pairs = _windowed_pairs(x_records, x_weighted, start, start + width)
+            y_pairs = _windowed_pairs(y_records, y_weighted, start, start + width)
+        x_pairs = frozenset(p for p in x_pairs if set(p) <= nodes)
+        y_pairs = frozenset(p for p in y_pairs if set(p) <= nodes)
+    if variant == "mismatch":
+        for metric in (LinkIndicatorPair.from_layers, jaccard, partial_jaccard):
+            with pytest.raises(ValidationError, match="do not share a node registry"):
+                metric(lx, ly)
+        return
+    counts, jaccard_value, partial_value = link_overlap_oracle(len(nodes), x_pairs, y_pairs)
+    pair = LinkIndicatorPair.from_layers(lx, ly)
+    assert (pair.n11, pair.n10, pair.n01, pair.n00) == counts
+    if jaccard_value is None:
+        with pytest.raises(UndefinedMetricError, match="both layers are empty"):
+            jaccard(lx, ly)
+    else:
+        assert jaccard(lx, ly) == jaccard_value
+    if partial_value is None:
+        with pytest.raises(UndefinedMetricError, match="layer 'y' has no links"):
+            partial_jaccard(lx, ly)
+    else:
+        assert partial_jaccard(lx, ly) == partial_value
 
 
 # -- entropy estimators ----------------------------------------------------

@@ -109,6 +109,16 @@ def test_ingest_bad_rows_name_path_and_line(tmp_path, body, fragment):
     assert fragment in message.lower()
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_ingest_names_non_finite_weights(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"source,target,weight\na,b,1\na,b,{cell}\n")
+    with pytest.raises(ParseError) as err:
+        ingest_layer(path)
+    assert str(err.value).startswith(f"{path}:3:")
+    assert f"non-finite weight '{cell}'" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "body",
     [
