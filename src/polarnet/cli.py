@@ -130,26 +130,16 @@ def _restrict_to_large_groups(
     network: MultiplexNetwork, partition: Partition, min_size: int
 ) -> tuple[MultiplexNetwork, Partition]:
     """Drop groups below min_size (members counted on the active registry)."""
-    sizes = {label: 0 for label in partition.labels}
-    for i in network.active_indices():
-        sizes[partition.label_of(network.node_ids[i])] += 1
-    kept = tuple(label for label in partition.labels if sizes[label] >= min_size)
-    if len(kept) == len(partition.labels):
-        return network, partition
-    if not kept:
+    active = [network.node_ids[i] for i in network.active_indices()]
+    sizes = np.bincount(partition.codes(active), minlength=len(partition.labels))
+    if sizes.max() < min_size:
         raise ValidationError(
-            f"no group reaches --min-group-size {min_size}; largest is "
-            f"{max(sizes.values()) if sizes else 0}"
+            f"no group reaches --min-group-size {min_size}; largest is {sizes.max()}"
         )
-    keep_ids = [
-        network.node_ids[i]
-        for i in network.active_indices()
-        if partition.label_of(network.node_ids[i]) in kept
-    ]
-    assignment = {
-        node: label for node, label in partition.assignment.items() if label in kept
-    }
-    return network.induced(keep_ids), Partition.from_assignment(assignment, kept)
+    for label, size in zip(partition.labels, sizes):
+        if size < min_size:
+            network, partition = filter_partition(network, partition, label)
+    return network, partition
 
 
 def _parse_portfolio(text: str | None) -> tuple[ComboScript, ...]:

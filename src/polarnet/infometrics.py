@@ -6,7 +6,9 @@ two such sets into the 2x2 pair-indicator table, which every similarity
 reads: set overlap (Jaccard, partial Jaccard) or normalized mutual
 information.  Entropies are in bits and use the Miller-Madow corrected
 estimator by default, with the plain maximum-likelihood estimator available
-as a switch.  Error bars come from leave-one-node-out jackknife resampling.
+as a switch, from one entropy function.  Every information score reads one
+pass over its joint count table: three entropies give I(X;Y) and both NMIs.
+Error bars come from leave-one-node-out jackknife resampling.
 """
 from __future__ import annotations
 
@@ -56,33 +58,33 @@ def partial_jaccard(x: Layer, y: Layer) -> float:
     return pair.n11 / (pair.n11 + pair.n01)
 
 
-def entropy_ml(counts: Sequence[float] | np.ndarray) -> float:
-    """Maximum-likelihood Shannon entropy in bits; zero counts contribute 0."""
-    counts = np.asarray(counts, dtype=np.float64).ravel()
+def _checked(counts: Sequence | np.ndarray) -> np.ndarray:
+    counts = np.asarray(counts, dtype=np.float64)
     if (counts < 0).any():
         raise ValidationError("counts must be non-negative")
-    n = counts.sum()
-    if n <= 0:
+    if counts.sum() <= 0:
         raise UndefinedMetricError("all counts are zero")
+    return counts
+
+
+def _entropy(counts: np.ndarray, estimator: str) -> float:
+    """Bits from checked 1-D counts, plus (p_observed - 1) / (2n) for "mm"."""
+    n = counts.sum()
     p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
+    h = float(-(p * np.log2(p)).sum())
+    if estimator == "mm":
+        h += (len(p) - 1) / (2.0 * n)
+    return h
+
+
+def entropy_ml(counts: Sequence[float] | np.ndarray) -> float:
+    """Maximum-likelihood Shannon entropy in bits; zero counts contribute 0."""
+    return _entropy(_checked(counts).ravel(), "ml")
 
 
 def entropy_mm(counts: Sequence[float] | np.ndarray) -> float:
     """ML entropy plus the Miller-Madow correction (p_observed - 1) / (2n)."""
-    counts = np.asarray(counts, dtype=np.float64).ravel()
-    n = counts.sum()
-    base = entropy_ml(counts)
-    observed = int((counts > 0).sum())
-    return base + (observed - 1) / (2.0 * n)
-
-
-def _entropy(counts: np.ndarray, estimator: str) -> float:
-    if estimator == "mm":
-        return entropy_mm(counts)
-    if estimator == "ml":
-        return entropy_ml(counts)
-    raise ValidationError(f"unknown estimator {estimator!r}")
+    return _entropy(_checked(counts).ravel(), "mm")
 
 
 class MIResult(NamedTuple):
@@ -93,22 +95,30 @@ class MIResult(NamedTuple):
     degenerate: bool
 
 
-def mutual_information(table: Sequence | np.ndarray, estimator: str = "mm") -> MIResult:
-    """I(X;Y) = H(X) + H(Y) - H(X,Y) over a 2-D joint count table."""
+def _information(table: Sequence | np.ndarray, estimator: str) -> tuple[MIResult, float, float]:
+    """(I(X;Y), H(X), H(Y)) from one check of the table and at most three entropies."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValidationError("joint table must be 2-D")
-    if (table < 0).any():
-        raise ValidationError("counts must be non-negative")
-    if table.sum() <= 0:
-        raise UndefinedMetricError("all counts are zero")
-    rows = table.sum(axis=1)
-    cols = table.sum(axis=0)
+    table = _checked(table)
+    if estimator not in ESTIMATORS:
+        raise ValidationError(f"unknown estimator {estimator!r}")
+    hx = _entropy(table.sum(axis=1), estimator)
+    hy = _entropy(table.sum(axis=0), estimator)
     degenerate = int((table > 0).sum()) <= 1
-    raw = _entropy(rows, estimator) + _entropy(cols, estimator) - _entropy(table, estimator)
-    if degenerate:
-        raw = 0.0
-    return MIResult(max(raw, 0.0), raw, degenerate)
+    raw = 0.0 if degenerate else hx + hy - _entropy(table.ravel(), estimator)
+    return MIResult(max(raw, 0.0), raw, degenerate), hx, hy
+
+
+def _normalized(raw: float, h: float) -> float:
+    if h <= 0.0:
+        raise UndefinedMetricError("normalizing margin has zero entropy")
+    return raw / h
+
+
+def mutual_information(table: Sequence | np.ndarray, estimator: str = "mm") -> MIResult:
+    """I(X;Y) = H(X) + H(Y) - H(X,Y) over a 2-D joint count table."""
+    return _information(table, estimator)[0]
 
 
 def nmi(table: Sequence | np.ndarray, respect_to: str = "x", estimator: str = "mm") -> float:
@@ -116,16 +126,10 @@ def nmi(table: Sequence | np.ndarray, respect_to: str = "x", estimator: str = "m
 
     ``respect_to`` picks the normalizing margin ("x" rows, "y" columns).
     """
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValidationError("joint table must be 2-D")
     if respect_to not in ("x", "y"):
         raise ValidationError(f"respect_to must be 'x' or 'y', got {respect_to!r}")
-    margin = table.sum(axis=1) if respect_to == "x" else table.sum(axis=0)
-    h = _entropy(margin, estimator)
-    if h <= 0.0:
-        raise UndefinedMetricError("normalizing margin has zero entropy")
-    return mutual_information(table, estimator).raw / h
+    mi, hx, hy = _information(table, estimator)
+    return _normalized(mi.raw, hx if respect_to == "x" else hy)
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,8 @@ def link_nmi(x: Layer, y: Layer, estimator: str = "mm") -> tuple[float, float]:
     Both layers are read as indicator variables over all ordered non-self
     node pairs; NMI(X|Y) normalizes the shared information by H(X).
     """
-    table = LinkIndicatorPair.from_layers(x, y).table()
-    return (
-        nmi(table, respect_to="x", estimator=estimator),
-        nmi(table, respect_to="y", estimator=estimator),
-    )
+    mi, hx, hy = _information(LinkIndicatorPair.from_layers(x, y).table(), estimator)
+    return _normalized(mi.raw, hx), _normalized(mi.raw, hy)
 
 
 def partition_nmi(
@@ -181,11 +182,8 @@ def partition_nmi(
         raise ValidationError("empty node universe")
     na, nb = len(a.labels), len(b.labels)
     pairs = a.codes(nodes) * nb + b.codes(nodes)
-    table = np.bincount(pairs, minlength=na * nb).reshape(na, nb).astype(np.float64)
-    return (
-        nmi(table, respect_to="x", estimator=estimator),
-        nmi(table, respect_to="y", estimator=estimator),
-    )
+    mi, ha, hb = _information(np.bincount(pairs, minlength=na * nb).reshape(na, nb), estimator)
+    return _normalized(mi.raw, ha), _normalized(mi.raw, hb)
 
 
 @dataclass(frozen=True)

@@ -323,9 +323,10 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
     """Read a layer CSV with columns source,target[,weight][,date].
 
     A header on line 1 whose first two cells are source,target maps every
-    column by name; otherwise rows are read positionally (2 columns
-    unweighted, 3 with weight, 4 with weight and date).  The layer is
-    weighted exactly when a weight column is present.
+    column by name, and an unknown or repeated name is an error; otherwise
+    rows are read positionally (2 columns unweighted, 3 with weight, 4 with
+    weight and date).  The layer is weighted exactly when a weight column is
+    present.
     """
     path = Path(path)
     where = str(path)
@@ -337,6 +338,14 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
     line, cells = first
     header = [cell.strip().casefold() for cell in cells]
     if line == 1 and header[:2] == ["source", "target"]:
+        for i, column in enumerate(header):
+            if column not in LAYER_COLUMNS:
+                raise ParseError(
+                    f"unknown column {cells[i].strip()!r} (expected {','.join(LAYER_COLUMNS)})",
+                    path=where, line=line,
+                )
+            if column in header[:i]:
+                raise ParseError(f"column {cells[i].strip()!r} given twice", path=where, line=line)
         positions = {column: i for i, column in enumerate(header)}
         cols = tuple(positions.get(column) for column in LAYER_COLUMNS)
         columns = [cell.strip() for cell in cells]
@@ -541,13 +550,11 @@ class MultiplexNetwork:
         self,
         node_ids: tuple[str, ...],
         layers: Mapping[str, Layer],
-        attributes: Mapping[str, Mapping[str, str]] | None = None,
         inactive: frozenset[int] = frozenset(),
     ):
         self.node_ids = node_ids
         self.index = {node: i for i, node in enumerate(node_ids)}
         self.layers = dict(layers)
-        self.attributes = {k: dict(v) for k, v in (attributes or {}).items()}
         self.inactive = inactive
 
     @classmethod
@@ -575,10 +582,7 @@ class MultiplexNetwork:
                 raise ValidationError(f"duplicate layer name {layer.name!r}")
             lut = np.array([index[node] for node in layer.node_ids], dtype=np.int64)
             remapped[layer.name] = layer.remapped(registry, lut)
-        attributes = {}
-        if node_table is not None:
-            attributes["affiliation"] = dict(node_table)
-        return cls(registry, remapped, attributes)
+        return cls(registry, remapped)
 
     @property
     def n(self) -> int:
@@ -612,7 +616,7 @@ class MultiplexNetwork:
             layer = self.layer(name)
             keep = (layer.src != v) & (layer.dst != v)
             new_layers[name] = layer._masked(keep, node_count=layer.node_count - 1)
-        # Instances are immutable, so the replica shares the registry index and attributes.
+        # Instances are immutable, so the replica shares the registry index.
         replica = copy.copy(self)
         replica.layers = new_layers
         replica.inactive = self.inactive | {v}
@@ -629,11 +633,7 @@ class MultiplexNetwork:
         for name, layer in self.layers.items():
             mask = (lut[layer.src] >= 0) & (lut[layer.dst] >= 0)
             new_layers[name] = layer._masked(mask, node_count=len(registry)).remapped(registry, lut)
-        attributes = {
-            key: {node: value for node, value in table.items() if node in keep}
-            for key, table in self.attributes.items()
-        }
-        return MultiplexNetwork(registry, new_layers, attributes)
+        return MultiplexNetwork(registry, new_layers)
 
 
 

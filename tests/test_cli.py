@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -176,6 +177,68 @@ def test_polarization_is_byte_deterministic(fixture_dir):
         assert code == 0
         outs.append((out / "polarization.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _write_shuffle_fixture(root: Path, rng: random.Random) -> list[str]:
+    """60 nodes, all in the node table; a dated layer with integer weights and
+    repeated pairs, and an unweighted layer.  Returns the common CLI args."""
+    nodes = [f"v{i}" for i in range(60)]
+    party = {node: ("L", "C", "R", "")[i % 4] for i, node in enumerate(nodes)}
+    (root / "nodes.csv").write_text(
+        "node_id,affiliation\n" + "".join(f"{n},{party[n]}\n" for n in nodes), encoding="utf-8"
+    )
+    (root / "merge.cfg").write_text("L = Left\nC = Centre\nR = Right\n", encoding="utf-8")
+
+    def partner(node: str) -> str:
+        pool = [n for n in nodes if party[n] == party[node]] if rng.random() < 0.7 else nodes
+        return rng.choice([n for n in pool if n != node])
+
+    retweets = ["source,target,weight,date"]
+    replies = ["source,target"]
+    for node in nodes:
+        for _ in range(4):
+            day = f"2021-03-{rng.randint(1, 28):02d}"
+            retweets.append(f"{node},{partner(node)},{rng.randint(1, 4)},{day}")
+            replies.append(f"{node},{partner(node)}")
+    retweets += retweets[1:11]  # the same pairs again, merged on ingest
+    for name, rows in (("retweets", retweets), ("replies", replies)):
+        (root / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return ["--layer", f"retweets={root / 'retweets.csv'}", "--layer",
+            f"replies={root / 'replies.csv'}", "--nodes", str(root / "nodes.csv"),
+            "--merge", str(root / "merge.cfg")]
+
+
+def test_reports_unchanged_when_layer_rows_are_shuffled(tmp_path):
+    """Shuffling every layer's data rows leaves the reports byte-identical.
+
+    Scope: every node is in the node table, so the registry order does not
+    depend on which row names a node first (a node missing from the table
+    takes first-seen order, and detection breaks ties by index), and the
+    weights are integers, which merge to the same sum in any order (float
+    weights merged in another order can change last bits).
+    """
+    rng = random.Random(12)
+    args = _write_shuffle_fixture(tmp_path, rng)
+    commands = [
+        ["layer-similarity"],
+        ["polarization", "--portfolio", "f-1", "--seed", "5"],
+        ["group-nmi", "--portfolio", "f-1", "--seed", "5"],
+    ]
+
+    def reports(out: Path) -> dict[str, bytes]:
+        for command in commands:
+            assert main([*command, *args, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    ordered = reports(tmp_path / "ordered")
+    assert sorted(ordered) == ["group_nmi.csv", "layer_similarity.csv", "polarization.csv"]
+    for round_ in range(2):
+        for name in ("retweets", "replies"):
+            path = tmp_path / f"{name}.csv"
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            rng.shuffle(rows)
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert reports(tmp_path / f"shuffled{round_}") == ordered
 
 
 def test_polarization_no_jackknife_blanks_error_columns(fixture_dir):

@@ -9,9 +9,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ids, layer_of, partition_of, random_digraph
-from oracles import entropy_oracle, link_overlap_oracle, mutual_information_oracle
+from oracles import (
+    entropy_oracle,
+    entropy_reference,
+    link_overlap_oracle,
+    mutual_information_oracle,
+    mutual_information_reference,
+    nmi_reference,
+)
 from polarnet.errors import UndefinedMetricError, ValidationError
 from polarnet.infometrics import (
+    ESTIMATORS,
     LinkIndicatorPair,
     entropy_ml,
     entropy_mm,
@@ -326,6 +334,105 @@ def test_nmi_margin_choice_and_errors():
         nmi([[2, 3]], respect_to="x")  # single row: zero margin entropy
     with pytest.raises(ValidationError):
         nmi(table, respect_to="rows")
+
+
+# -- one pass over the joint table, pinned to the path it replaced ---------
+
+_REFERENCE_ERRORS = {ValidationError: ValueError, UndefinedMetricError: ZeroDivisionError}
+
+
+def _exact(value):
+    """Floats as their hex form, so equality is bitwise and NaN equals NaN."""
+    if isinstance(value, tuple):
+        return tuple(_exact(item) for item in value)
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def _outcome(fn, *args):
+    """The call's exact value, or the reference-side type and message of its error."""
+    try:
+        return _exact(fn(*args))
+    except (ValidationError, UndefinedMetricError) as exc:
+        return _REFERENCE_ERRORS[type(exc)], str(exc)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _count_tables(cells):
+    """1x1 to 5x5 tables; zero cells are common, so zero rows and columns occur."""
+    return st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(cells, min_size=cols, max_size=cols), min_size=1, max_size=5
+        )
+    )
+
+
+# A positive count whose share of the total rounds to 0 gives NaN from
+# 0 * log2(0) on both paths; numpy warns on that.
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(
+    table=_count_tables(
+        st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**7), st.floats(0.0, 1e7))
+    )
+)
+@example(table=[[7]])
+@example(table=[[0, 0], [0, 0]])
+@example(table=[[0, 5, 0], [0, 0, 0]])
+@example(table=[[3, 0, 2], [0, 0, 0], [1, 0, 4]])
+@example(table=[[10**7, 1], [1, 10**7]])
+def test_table_scores_equal_the_replaced_path(table):
+    for entropy, estimator in ((entropy_ml, "ml"), (entropy_mm, "mm")):
+        assert _outcome(entropy, table) == _outcome(entropy_reference, table, estimator)
+    for estimator in ESTIMATORS:
+        assert _outcome(mutual_information, table, estimator) == _outcome(
+            mutual_information_reference, table, estimator
+        )
+        for respect_to in ("x", "y"):
+            assert _outcome(nmi, table, respect_to, estimator) == _outcome(
+                nmi_reference, table, respect_to, estimator
+            )
+
+
+def _both_directions(table, estimator):
+    return tuple(nmi_reference(table, respect_to, estimator) for respect_to in ("x", "y"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_count_tables(st.one_of(st.just(0), st.integers(1, 4))))
+@example(table=[[3]])
+@example(table=[[0, 2], [0, 0]])
+def test_partition_nmi_equals_the_replaced_path(table):
+    assume(sum(map(sum, table)) > 0)
+    a: dict[str, str] = {}
+    b: dict[str, str] = {}
+    for i, row in enumerate(table):
+        for j, count in enumerate(row):
+            for _ in range(count):
+                node = f"n{len(a)}"
+                a[node], b[node] = f"a{i}", f"b{j}"
+    pa = Partition.from_assignment(a, [f"a{i}" for i in range(len(table))])
+    pb = Partition.from_assignment(b, [f"b{j}" for j in range(len(table[0]))])
+    for estimator in ESTIMATORS:
+        assert _outcome(partition_nmi, pa, pb, list(a), estimator) == _outcome(
+            _both_directions, table, estimator
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6))
+def test_link_nmi_equals_the_replaced_path(data, n):
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    x_links = data.draw(st.sets(st.sampled_from(pairs)))
+    y_links = data.draw(st.sets(st.sampled_from(pairs)))
+    (n11, n10, n01, n00), _, _ = link_overlap_oracle(n, frozenset(x_links), frozenset(y_links))
+    x = layer_of(n, sorted(x_links), name="x")
+    y = layer_of(n, sorted(y_links), name="y")
+    for estimator in ESTIMATORS:
+        assert _outcome(link_nmi, x, y, estimator) == _outcome(
+            _both_directions, [[n11, n10], [n01, n00]], estimator
+        )
 
 
 # -- layer-level NMI -------------------------------------------------------

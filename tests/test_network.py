@@ -57,6 +57,36 @@ def test_ingest_header_and_columns(tmp_path):
     assert stamps == [date(2011, 3, 1), date(2011, 3, 2)]
 
 
+@pytest.mark.parametrize(
+    "header, column",
+    [
+        ("source,target,wieght", "'wieght'"),
+        ("source,target,weight,date,extra", "'extra'"),
+        ("source,target,,weight", "''"),
+        ("source,target,weight,Weight", "'Weight' given twice"),
+    ],
+)
+def test_ingest_header_names_every_column(tmp_path, header, column):
+    path = tmp_path / "layer.csv"
+    width = len(header.split(","))
+    rows = [",".join(["a", "b", *["2"] * (width - 2)]), ",".join(["b", "c", *["3"] * (width - 2)])]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParseError) as err:
+        ingest_layer(path)
+    assert err.value.line == 1
+    assert str(err.value).startswith(f"{path}:1: ")
+    assert column in str(err.value)
+
+
+def test_ingest_header_is_case_insensitive_in_any_order(tmp_path):
+    path = tmp_path / "layer.csv"
+    path.write_text("Source,TARGET,Date,Weight\nx,y,2011-03-01,2.5\n")
+    (link,) = list(ingest_layer(path).links())
+    assert (link.source, link.target, link.weight, link.timestamp) == (
+        "x", "y", 2.5, date(2011, 3, 1)
+    )
+
+
 def test_ingest_weighted_duplicates_accumulate(tmp_path):
     path = tmp_path / "layer.csv"
     path.write_text("source,target,weight\na,b,2\na,b,3\n")
@@ -369,7 +399,6 @@ def test_drop_node_shares_the_parent_registry_index():
     network = MultiplexNetwork.assemble([layer], node_table={"n0": "A", "n1": "B", "n2": "A"})
     dropped = network.drop_node("n2")
     assert dropped.index is network.index
-    assert dropped.attributes == network.attributes
     assert dropped.drop_node("n0").index is network.index
 
 
