@@ -5,11 +5,12 @@ auxiliary files), runs one analysis, and writes deterministic report files
 under the output directory.  Identical inputs, flags and seed produce
 byte-identical files.
 
-Randomness derives from the single ``--seed`` through a fixed split scheme:
-community detection for layer number ``i`` (0-based, command-line order) and
-unaligned-handling variant ``v`` (0 = included, 1 = excluded) draws its seed
-from ``SeedSequence([seed, i, v])``; the detection portfolio splits that
-seed once more per script.  Partial reruns therefore match full runs.
+Randomness derives from the single ``--seed`` through a fixed split scheme,
+``communities.derive_seed``: community detection for layer number ``i``
+(0-based, command-line order) and unaligned-handling variant ``v`` (0 =
+included, 1 = excluded) runs the portfolio with ``derive_seed(seed, i, v)``,
+and the portfolio gives its script ``j`` ``derive_seed(that, j)``.  Partial
+reruns therefore match full runs.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .communities import DEFAULT_PORTFOLIO, ComboScript, DetectionResult, run_portfolio
+from .communities import DEFAULT_PORTFOLIO, ComboScript, DetectionResult, derive_seed, run_portfolio
 from .errors import PolarnetError, ValidationError
 from .ideology import demod_distance_analysis, read_positions
 from .infometrics import ESTIMATORS, jackknife, link_nmi, partial_jaccard, partition_nmi
@@ -161,15 +162,10 @@ def _require_seed(args: argparse.Namespace, scripts: Sequence[ComboScript]) -> i
     return args.seed if args.seed is not None else 0
 
 
-def _derive_seed(root: int, *path: int) -> int:
-    return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
-
-
 def _detect(
     layer, scripts: Sequence[ComboScript], root_seed: int, layer_index: int, variant: int
 ) -> DetectionResult:
-    seed = _derive_seed(root_seed, layer_index, variant)
-    return run_portfolio(layer, scripts, seed=seed)
+    return run_portfolio(layer, scripts, seed=derive_seed(root_seed, layer_index, variant))
 
 
 def _read_events(path: str | Path) -> list[tuple[date, str]]:
@@ -244,12 +240,11 @@ def cmd_polarization(args: argparse.Namespace) -> int:
     for variant_name, variant_index, exclude in variants:
         network, partition = _apply_unaligned_filter(run, exclude)
         codes = partition.codes(network.node_ids)
-        n_groups = len(partition.labels)
         for layer_index, name in enumerate(run.layer_names):
             layer = network.layer(name)
 
             def q_party(net: MultiplexNetwork, _name: str = name) -> float:
-                return q_modularity(net.layer(_name), None, codes=codes, n_groups=n_groups)
+                return q_modularity(net.layer(_name), None, codes=codes)
 
             detection = _detect(layer, scripts, root_seed, layer_index, variant_index)
             point, *jack = _estimate(args, q_party, network, (name,))

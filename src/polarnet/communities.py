@@ -112,7 +112,7 @@ class _Problem:
         self.adj = symmetric_adjacency(self.n, src, dst, w)
 
     def q_of(self, codes: np.ndarray) -> float:
-        return q_modularity(self.layer, None, codes=codes, n_groups=int(codes.max()) + 1)
+        return q_modularity(self.layer, None, codes=codes)
 
 
 def _canonical(codes: np.ndarray) -> np.ndarray:
@@ -124,17 +124,8 @@ def _canonical(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _partition_from_codes(layer: Layer, codes: np.ndarray) -> Partition:
-    codes = _canonical(codes)
-    labels = tuple(f"c{k}" for k in range(int(codes.max()) + 1))
-    assignment = {node: labels[codes[i]] for i, node in enumerate(layer.node_ids)}
-    return Partition.from_assignment(assignment, labels)
-
-
-def _better(q_a: float, codes_a: np.ndarray, q_b: float, codes_b: np.ndarray | None) -> bool:
+def _better(q_a: float, codes_a: np.ndarray, q_b: float, codes_b: np.ndarray) -> bool:
     """True when (q_a, codes_a) beats (q_b, codes_b) under (Q, lexicographic)."""
-    if codes_b is None:
-        return True
     if q_a != q_b:
         return q_a > q_b
     return tuple(codes_a.tolist()) < tuple(codes_b.tolist())
@@ -477,22 +468,31 @@ def _extremal(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, 
 # -- public entry points ---------------------------------------------------
 
 
+def derive_seed(root: int, *path: int) -> int:
+    """The seed at ``path`` below ``root``: a 32-bit word of SeedSequence([root, *path])."""
+    return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
+
+
 def _result(
     problem: _Problem,
-    codes: np.ndarray,
     script: str,
     seed: int | None,
+    codes: np.ndarray,
+    q: float,
     flags: tuple[str, ...] = (),
 ) -> DetectionResult:
-    partition = _partition_from_codes(problem.layer, codes)
-    q = q_modularity(problem.layer, partition)
-    return DetectionResult(partition, q, script, seed, len(partition.labels), flags)
+    """Wrap canonical ``codes`` and their directed Q as a result."""
+    labels = tuple(f"c{k}" for k in range(int(codes.max()) + 1))
+    assignment = {node: labels[codes[i]] for i, node in enumerate(problem.layer.node_ids)}
+    partition = Partition.from_assignment(assignment, labels)
+    return DetectionResult(partition, q, script, seed, len(labels), flags)
 
 
 def detect_fast(layer: Layer) -> DetectionResult:
     """Greedy modularity agglomeration from singletons (deterministic)."""
     problem = _Problem(layer)
-    return _result(problem, _fast_greedy(problem), "f-1", None)
+    codes = _fast_greedy(problem)
+    return _result(problem, "f-1", None, codes, problem.q_of(codes))
 
 
 def detect_spectral(layer: Layer, seed: int) -> DetectionResult:
@@ -500,21 +500,21 @@ def detect_spectral(layer: Layer, seed: int) -> DetectionResult:
     vector of subgraphs above ``_DENSE_LIMIT`` nodes."""
     problem = _Problem(layer)
     codes, flags = _spectral(problem, np.random.default_rng(np.random.SeedSequence(seed)))
-    return _result(problem, codes, "s-1", seed, flags)
+    return _result(problem, "s-1", seed, codes, problem.q_of(codes), flags)
 
 
 def detect_extremal(layer: Layer, seed: int) -> DetectionResult:
     """Recursive tau-EO bisection (tau = 1.4), seeded."""
     problem = _Problem(layer)
     codes, flags = _extremal(problem, np.random.default_rng(np.random.SeedSequence(seed)))
-    return _result(problem, codes, "e-1", seed, flags)
+    return _result(problem, "e-1", seed, codes, problem.q_of(codes), flags)
 
 
 def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
     """Single-node move refinement of a starting partition; Q never drops."""
     problem = _Problem(layer)
-    codes = _reposition(problem, _canonical(start.codes(layer.node_ids)))
-    return _result(problem, codes, "r-1", None)
+    codes = _reposition(problem, start.codes(layer.node_ids))
+    return _result(problem, "r-1", None, codes, problem.q_of(codes))
 
 
 def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) -> DetectionResult:
@@ -532,10 +532,14 @@ def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) 
         script = ComboScript.parse(script)
     if script.stochastic and seed is None:
         raise ValidationError(f"script {script} has stochastic stages and needs a seed")
-    return _combo(_Problem(layer), script, seed)
+    problem = _Problem(layer)
+    return _result(problem, str(script), seed, *_combo(problem, script, seed))
 
 
-def _combo(problem: _Problem, script: ComboScript, seed: int | None) -> DetectionResult:
+def _combo(
+    problem: _Problem, script: ComboScript, seed: int | None
+) -> tuple[np.ndarray, float, tuple[str, ...]]:
+    """(canonical codes, their directed Q, non-convergence flags) of one script."""
     codes = np.arange(problem.n, dtype=np.int64)
     q = problem.q_of(codes)
     flags: list[str] = []
@@ -561,7 +565,7 @@ def _combo(problem: _Problem, script: ComboScript, seed: int | None) -> Detectio
             flags.extend(cand_flags)
             if _better(cand_q, cand, q, codes):
                 codes, q = cand, cand_q
-    return _result(problem, codes, str(script), seed, tuple(flags))
+    return codes, q, tuple(flags)
 
 
 def run_portfolio(
@@ -571,23 +575,21 @@ def run_portfolio(
 ) -> DetectionResult:
     """Run every script and keep the best result by (Q, lexicographic partition).
 
-    Script i runs with the derived seed SeedSequence([seed, i]) so the
+    Script i runs with the derived seed ``derive_seed(seed, i)`` so the
     portfolio is reproducible from one configuration seed.
     """
     if not scripts:
         raise ValidationError("empty portfolio")
     problem = _Problem(layer)
-    best: DetectionResult | None = None
-    best_codes: np.ndarray | None = None
+    best = None  # (script, seed, codes, q, flags) of the winner so far
     for i, text in enumerate(scripts):
         script = ComboScript.parse(text) if isinstance(text, str) else text
         sub_seed = None
         if script.stochastic:
             if seed is None:
                 raise ValidationError(f"script {script} has stochastic stages and needs a seed")
-            sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        result = _combo(problem, script, sub_seed)
-        codes = _canonical(result.partition.codes(layer.node_ids))
-        if best is None or _better(result.q, codes, best.q, best_codes):
-            best, best_codes = result, codes
-    return best
+            sub_seed = derive_seed(seed, i)
+        codes, q, flags = _combo(problem, script, sub_seed)
+        if best is None or _better(q, codes, best[3], best[2]):
+            best = (str(script), sub_seed, codes, q, flags)
+    return _result(problem, *best)

@@ -137,37 +137,22 @@ def demod_distance_analysis(
     matrix = demodularity_matrix(layer, partition, normalization=normalization)
     usable = [label for label in matrix.labels if label in positions]
     pairs = []
-    if ordered:
-        for f in usable:
-            for t_ in usable:
-                if f == t_:
-                    continue
-                value = matrix.value(f, t_)
-                if value is None:
-                    continue
-                pairs.append(
-                    DistanceDemodPair(
-                        from_party=f,
-                        to_party=t_,
-                        distance=euclidean_distance(positions[f], positions[t_]),
-                        demod=value,
-                    )
+    for i, f in enumerate(usable):
+        for t_ in usable if ordered else usable[i + 1 :]:
+            if f == t_:
+                continue
+            forward = matrix.value(f, t_)
+            backward = forward if ordered else matrix.value(t_, f)
+            if forward is None or backward is None:
+                continue
+            pairs.append(
+                DistanceDemodPair(
+                    from_party=f,
+                    to_party=t_,
+                    distance=euclidean_distance(positions[f], positions[t_]),
+                    demod=forward if ordered else 0.5 * (forward + backward),
                 )
-    else:
-        for i, f in enumerate(usable):
-            for t_ in usable[i + 1 :]:
-                forward = matrix.value(f, t_)
-                backward = matrix.value(t_, f)
-                if forward is None or backward is None:
-                    continue
-                pairs.append(
-                    DistanceDemodPair(
-                        from_party=f,
-                        to_party=t_,
-                        distance=euclidean_distance(positions[f], positions[t_]),
-                        demod=0.5 * (forward + backward),
-                    )
-                )
+            )
     if len(pairs) < 3:
         raise UndefinedMetricError(
             f"correlation needs at least 3 usable party pairs, found {len(pairs)}"

@@ -62,7 +62,10 @@ def _checked(counts: Sequence | np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64)
     if (counts < 0).any():
         raise ValidationError("counts must be non-negative")
-    if counts.sum() <= 0:
+    total = counts.sum()
+    if not np.isfinite(total):
+        raise ValidationError("counts must be finite")
+    if total <= 0:
         raise UndefinedMetricError("all counts are zero")
     return counts
 
@@ -70,10 +73,11 @@ def _checked(counts: Sequence | np.ndarray) -> np.ndarray:
 def _entropy(counts: np.ndarray, estimator: str) -> float:
     """Bits from checked 1-D counts, plus (p_observed - 1) / (2n) for "mm"."""
     n = counts.sum()
-    p = counts[counts > 0] / n
+    p = counts / n
+    p = p[p > 0]  # after dividing: a count far below n may round to p = 0
     h = float(-(p * np.log2(p)).sum())
     if estimator == "mm":
-        h += (len(p) - 1) / (2.0 * n)
+        h += (np.count_nonzero(counts) - 1) / (2.0 * n)
     return h
 
 

@@ -26,13 +26,12 @@ def q_modularity(
     partition: Partition | None,
     *,
     codes: np.ndarray | None = None,
-    n_groups: int | None = None,
 ) -> float:
     """Directed Q = (1/m) * sum_ij [A_ij - k_out_i * k_in_j / m] delta(c_i, c_j).
 
     ``codes`` may carry a precomputed group code per registry index (aligned
     with ``partition.labels``) to skip the per-node label lookups; with codes
-    supplied the partition itself may be None.
+    supplied the partition itself may be None, and the groups are 0..max(codes).
     """
     src, dst, w = layer.metric_view()
     m = float(w.sum())
@@ -42,9 +41,7 @@ def q_modularity(
         if partition is None:
             raise ValidationError("need a partition or precomputed codes")
         codes = partition.codes(layer.node_ids)
-    if n_groups is not None:
-        groups = n_groups
-    elif partition is not None:
+    if partition is not None:
         groups = len(partition.labels)
     else:
         groups = int(codes.max()) + 1 if len(codes) else 1

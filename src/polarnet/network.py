@@ -30,6 +30,9 @@ MISSING_DAY = np.iinfo(np.int64).min
 # The layer CSV columns, in positional order.
 LAYER_COLUMNS = ("source", "target", "weight", "date")
 
+# The only date form a cell may hold: YYYY-MM-DD.
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
 
 @dataclass(frozen=True)
 class LayerLink:
@@ -186,7 +189,7 @@ class Layer:
         """Re-express link endpoints against a new registry via a lookup table."""
         src = lut[self.src]
         dst = lut[self.dst]
-        days = self.days if self.days is not None else None
+        days = self.days
         order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
         order = np.lexsort((order_day, dst, src))
         return Layer(
@@ -250,7 +253,7 @@ def parse_date(cell: str, path: str | Path, line: int) -> date:
     """The YYYY-MM-DD date in a cell; anything else is a ParseError at ``path:line``."""
     cell = cell.strip()
     # From Python 3.11 on, fromisoformat also reads forms like 20130105 and 2013-W01-1.
-    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", cell):
+    if _DATE.fullmatch(cell):
         try:
             return date.fromisoformat(cell)
         except ValueError:
@@ -688,14 +691,13 @@ def generate_planted_partition(
     prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
     adjacency = draw < prob
     np.fill_diagonal(adjacency, False)
-    src, dst = np.nonzero(adjacency)
+    src, dst = np.nonzero(adjacency)  # row-major: sorted by (src, dst)
     node_ids = tuple(f"n{i}" for i in range(n))
-    order = np.lexsort((dst, src))
     layer = Layer(
         layer_name,
         node_ids,
-        src[order].astype(np.int64),
-        dst[order].astype(np.int64),
+        src.astype(np.int64),
+        dst.astype(np.int64),
         np.ones(len(src), dtype=np.float64),
         None,
         False,

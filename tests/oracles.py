@@ -473,7 +473,7 @@ def entropy_reference(counts, estimator: str) -> float:
         raise ValueError("counts must be non-negative")
     if n <= 0:
         raise ZeroDivisionError("all counts are zero")
-    p = counts[counts > 0] / n
+    p = (counts / n)[counts / n > 0]
     base = float(-(p * np.log2(p)).sum())
     if estimator == "ml":
         return base

@@ -414,6 +414,45 @@ def test_portfolio_builds_one_problem_per_layer(monkeypatch):
     assert built == ["links"]
 
 
+def test_portfolio_builds_one_partition(monkeypatch):
+    layer = generate_planted_partition(2, 10, 0.6, 0.05, seed=4)[0].layer("links")
+    built = []
+    init = Partition.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__init__", counted)
+    run_portfolio(layer, DEFAULT_PORTFOLIO, seed=9)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("kind", ["random", "planted"])
+def test_reported_q_is_the_q_of_the_returned_partition(kind):
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            layer = layer_of(14, random_digraph(rng, 14, 0.3, weighted=bool(seed)))
+        else:
+            layer = generate_planted_partition(3, 12, 0.5, 0.05, seed=seed)[0].layer("links")
+        # A start whose labels are not in first-appearance order.
+        start = Partition.from_assignment(
+            {node: f"g{3 - int(rng.integers(0, 4))}" for node in layer.node_ids}
+        )
+        results = [
+            run_portfolio(layer, seed=seed),
+            detect_fast(layer),
+            detect_spectral(layer, seed),
+            detect_extremal(layer, seed),
+            refine_reposition(layer, start),
+        ]
+        results += [run_combo(layer, script, seed) for script in DEFAULT_PORTFOLIO]
+        for result in results:
+            assert result.q.hex() == q_modularity(layer, result.partition).hex(), result.script
+            assert result.group_count == len(result.partition.labels)
+
+
 def test_portfolio_is_deterministic():
     rng = np.random.default_rng(41)
     layer = layer_of(13, random_digraph(rng, 13, 0.3))

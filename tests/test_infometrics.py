@@ -241,6 +241,16 @@ def test_entropy_errors():
         entropy_ml([0, 0])
     with pytest.raises(UndefinedMetricError):
         entropy_mm([0.0])
+    for bad in ([1, np.inf], [1, np.nan]):
+        with pytest.raises(ValidationError, match="finite"):
+            entropy_ml(bad)
+
+
+def test_entropy_of_a_count_whose_share_underflows():
+    # 5e-324 / 2 rounds to 0: the count is observed but adds no entropy.
+    assert entropy_ml([2, 5e-324]) == 0.0
+    assert entropy_mm([2, 5e-324]) == 0.25  # (2 observed - 1) / (2 * 2)
+    assert np.isfinite(mutual_information([[0, 0, 0, 2], [0, 0, 0, 5e-324]]).raw)
 
 
 # -- mutual information and NMI --------------------------------------------
@@ -367,9 +377,9 @@ def _count_tables(cells):
     )
 
 
-# A positive count whose share of the total rounds to 0 gives NaN from
-# 0 * log2(0) on both paths; numpy warns on that.
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+# A subnormal total makes the Miller-Madow term (observed - 1) / (2n)
+# overflow to inf on both paths, and inf - inf in I(X;Y) is NaN; numpy warns.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(
@@ -382,6 +392,7 @@ def _count_tables(cells):
 @example(table=[[0, 5, 0], [0, 0, 0]])
 @example(table=[[3, 0, 2], [0, 0, 0], [1, 0, 4]])
 @example(table=[[10**7, 1], [1, 10**7]])
+@example(table=[[0, 0, 0, 2], [0, 0, 0, 5e-324]])  # a share that rounds to 0
 def test_table_scores_equal_the_replaced_path(table):
     for entropy, estimator in ((entropy_ml, "ml"), (entropy_mm, "mm")):
         assert _outcome(entropy, table) == _outcome(entropy_reference, table, estimator)

@@ -72,7 +72,7 @@ def test_precomputed_codes_agree_with_partition_path():
     codes = np.array(random_codes(rng, n, 3), dtype=np.int64)
     part = partition_of(n, codes.tolist())
     via_partition = q_modularity(layer, part)
-    via_codes = q_modularity(layer, None, codes=codes, n_groups=3)
+    via_codes = q_modularity(layer, None, codes=codes)
     assert via_codes == via_partition
     with pytest.raises(ValidationError):
         q_modularity(layer, None)
@@ -203,4 +203,4 @@ def test_q_range_guard_raises_internal_error():
     layer.weight[:] = np.array([100.0, -99.0])
     layer._metric_view = None
     with pytest.raises(InternalConsistencyError):
-        q_modularity(layer, None, codes=np.array([0, 1], dtype=np.int64), n_groups=2)
+        q_modularity(layer, None, codes=np.array([0, 1], dtype=np.int64))
