@@ -153,6 +153,8 @@ def _parse_portfolio(text: str | None) -> tuple[ComboScript, ...]:
 
 
 def _require_seed(args: argparse.Namespace, scripts: Sequence[ComboScript]) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, not {args.seed}")
     if any(script.stochastic for script in scripts):
         if args.seed is None:
             raise ValidationError(

@@ -36,8 +36,8 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import UndefinedMetricError, ValidationError
-from .modularity import q_modularity
+from .errors import ValidationError
+from .modularity import q_modularity, scaled_metric_view
 from .network import Layer, Partition, symmetric_adjacency
 
 DEFAULT_PORTFOLIO = ("e-1", "esrfr-30", "r-1", "f-1", "s-10", "rfr-1", "rsrfr-30")
@@ -94,19 +94,17 @@ class DetectionResult:
 
 
 class _Problem:
-    """Degrees, total weight and the symmetrized adjacency of one layer.
+    """Degrees, total weight and the symmetrized adjacency of one layer, all
+    in the weights of ``scaled_metric_view``.
 
     ``adj`` is the n×n CSR matrix with w(i->j) + w(j->i) at (i, j) and
     (j, i), columns sorted; every detection stage reads neighbours from it.
     """
 
     def __init__(self, layer: Layer):
-        src, dst, w = layer.metric_view()
+        src, dst, w, self.m, _ = scaled_metric_view(layer)
         self.layer = layer
         self.n = len(layer.node_ids)
-        self.m = float(w.sum())
-        if self.m <= 0.0:
-            raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
         self.k_out = np.bincount(src, weights=w, minlength=self.n)
         self.k_in = np.bincount(dst, weights=w, minlength=self.n)
         self.adj = symmetric_adjacency(self.n, src, dst, w)

@@ -4,10 +4,13 @@ Both scores compare realized link weight against the directed configuration
 null model k_out_i * k_in_j / m.  Self-links never enter the sums: they are
 dropped from the adjacency term, from the degrees and from m.  The null-model
 sum over a group does include the i = j degree products, which is what makes
-the single-group score exactly zero and the group decomposition exact.
+the single-group score exactly zero and the group decomposition exact.  Both
+read the weights through ``scaled_metric_view``, so that no product of
+weights underflows or overflows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,22 @@ POLARIZATION_THRESHOLD = 0.3
 
 # Denominator conventions for demodularity rows.
 NORMALIZATIONS = ("out_weight", "link_count", "total_m")
+
+
+def scaled_metric_view(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+    """(src, dst, weight, m, e): the metric view with every weight scaled by 2^-e,
+    where e is the exponent that puts the scaled m in [0.5, 1).
+
+    Degree products and m * m then stay in the float range for any finite
+    positive weights.  Scaling by a power of two is exact, so Q, every ratio
+    of weight sums and every detection step keep their bits.
+    """
+    src, dst, w = layer.metric_view()
+    m = float(w.sum())
+    if m <= 0.0:
+        raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
+    e = math.frexp(m)[1]
+    return src, dst, np.ldexp(w, -e), math.ldexp(m, -e), e
 
 
 def q_modularity(
@@ -33,10 +52,7 @@ def q_modularity(
     with ``partition.labels``) to skip the per-node label lookups; with codes
     supplied the partition itself may be None, and the groups are 0..max(codes).
     """
-    src, dst, w = layer.metric_view()
-    m = float(w.sum())
-    if m <= 0.0:
-        raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
+    src, dst, w, m, _ = scaled_metric_view(layer)
     if codes is None:
         if partition is None:
             raise ValidationError("need a partition or precomputed codes")
@@ -62,9 +78,8 @@ def classify_polarization(q: float) -> str:
 
 
 def _group_normalizers(
-    layer: Layer, codes: np.ndarray, groups: int, normalization: str, m: float
+    src: np.ndarray, w: np.ndarray, m: float, codes: np.ndarray, groups: int, normalization: str
 ) -> np.ndarray:
-    src, dst, w = layer.metric_view()
     if normalization == "out_weight":
         return np.bincount(codes[src], weights=w, minlength=groups)
     if normalization == "link_count":
@@ -136,10 +151,7 @@ def demodularity_matrix(
     """Compute every ordered (from, to) demodularity entry in one pass."""
     if len(partition.labels) < 2:
         raise ValidationError("demodularity needs at least two groups")
-    src, dst, w = layer.metric_view()
-    m = float(w.sum())
-    if m <= 0.0:
-        raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
+    src, dst, w, m, e = scaled_metric_view(layer)
     codes = partition.codes(layer.node_ids)
     groups = len(partition.labels)
     cross = np.zeros((groups, groups))
@@ -149,7 +161,7 @@ def demodularity_matrix(
     k_out_g = np.bincount(codes, weights=k_out, minlength=groups)
     k_in_g = np.bincount(codes, weights=k_in, minlength=groups)
     raw = cross - np.outer(k_out_g, k_in_g) / m
-    norms = _group_normalizers(layer, codes, groups, normalization, m)
+    norms = _group_normalizers(src, w, m, codes, groups, normalization)
     values = np.full((groups, groups), np.nan)
     undefined = []
     for f in range(groups):
@@ -157,6 +169,9 @@ def demodularity_matrix(
             undefined.append(partition.labels[f])
             continue
         values[f, :] = raw[f, :] / norms[f]
+    if normalization == "link_count":
+        # Weight per link: undo the scaling, which the weight normalizers cancel.
+        values = np.ldexp(values, e)
     np.fill_diagonal(values, np.nan)
     return DemodularityMatrix(partition.labels, values, tuple(undefined), normalization)
 
@@ -172,7 +187,7 @@ def decomposition_residual(layer: Layer, partition: Partition) -> float:
     m = float(w.sum())
     codes = partition.codes(layer.node_ids)
     groups = len(partition.labels)
-    norms = _group_normalizers(layer, codes, groups, "out_weight", m)
+    norms = _group_normalizers(src, w, m, codes, groups, "out_weight")
     total = m * q_modularity(layer, partition)
     for f in range(groups):
         for t in range(groups):

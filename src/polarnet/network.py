@@ -1,9 +1,9 @@
 """Multiplex directed network model.
 
 A network is a shared node registry plus named directed layers.  Layers are
-ingested from CSV files, carry optional per-link weights and calendar-day
-timestamps, and are stored as dense index arrays so whole-layer metrics stay
-vectorized.  Partitions assign every node a group label and are the common
+read from CSV files into row columns, built by ``Layer.from_columns``, carry
+optional per-link weights and calendar-day timestamps, and are stored as dense
+index arrays so whole-layer metrics stay vectorized.  Partitions assign every node a group label and are the common
 currency between the party tables and the community detection output.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 @dataclass(frozen=True)
 class LayerLink:
-    """One directed link inside a layer."""
+    """One directed link inside a layer, as ``Layer.links`` yields it."""
 
     source: str
     target: str
@@ -54,7 +54,7 @@ class LayerSchema:
 class Layer:
     """A named directed layer over a node registry.
 
-    Construction merges duplicate rows with ``merge_links``.  A weighted
+    ``from_columns`` merges duplicate rows with ``merge_links``.  A weighted
     layer keeps one link per (source, target, day) and adds its rows'
     weights in row order; an unweighted layer keeps one link per (source,
     target), dated with its earliest real day (undated if no row has a
@@ -85,38 +85,40 @@ class Layer:
         self._metric_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_links(
+    def from_columns(
         cls,
         name: str,
-        links: Iterable[LayerLink],
+        sources: Sequence[str],
+        targets: Sequence[str],
+        weights: Sequence[float],
+        days: Sequence[int],
         *,
         weighted: bool | None = None,
         node_ids: Sequence[str] | None = None,
     ) -> "Layer":
-        """Build a layer from link records, extending or reusing a registry."""
-        links = list(links)
-        ends = [end for link in links for end in (link.source, link.target)]
+        """Build a layer from row columns, extending or reusing a registry;
+        ``days`` holds day ordinals, ``MISSING_DAY`` for an undated row."""
+        ends = [end for pair in zip(sources, targets) for end in pair]
         registry = tuple(dict.fromkeys(ends) if node_ids is None else node_ids)
         index = {node: i for i, node in enumerate(registry)}
         codes = np.array([index.get(end, -1) for end in ends], dtype=np.int64).reshape(-1, 2)
-        w = np.array([link.weight for link in links], dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)
         if weighted is None:
             weighted = bool((w != 1.0).any())
         bad = ~((w > 0) & (w < np.inf)) | (codes < 0).any(axis=1) | ((w != 1.0) & (not weighted))
         if bad.any():
-            link = links[int(np.argmax(bad))]
-            if not np.isfinite(link.weight) or link.weight <= 0:
-                kind = "non-positive" if np.isfinite(link.weight) else "non-finite"
+            i = int(np.argmax(bad))
+            source, target, weight = sources[i], targets[i], float(w[i])
+            if not np.isfinite(weight) or weight <= 0:
+                kind = "non-positive" if np.isfinite(weight) else "non-finite"
                 raise ValidationError(
-                    f"layer {name!r}: {kind} weight {link.weight!r} on "
-                    f"{link.source!r} -> {link.target!r}"
+                    f"layer {name!r}: {kind} weight {weight!r} on {source!r} -> {target!r}"
                 )
-            unknown = link.source if link.source not in index else link.target
+            unknown = source if source not in index else target
             if unknown not in index:
                 raise ValidationError(f"layer {name!r}: unknown node {unknown!r}")
             raise ValidationError(f"layer {name!r}: unweighted layer requires unit weights")
-        stamps = (link.timestamp for link in links)
-        day = np.array([MISSING_DAY if t is None else t.toordinal() for t in stamps], np.int64)
+        day = np.array(days, dtype=np.int64)
         undated = np.iinfo(np.int64).max
         if not weighted:
             # Undated rows sort last, so each pair's first row holds its earliest real day.
@@ -337,7 +339,7 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
     rows = csv_rows(path)
     first = next(rows, None)
     if first is None:
-        return Layer.from_links(name, [], weighted=False)
+        return Layer.from_columns(name, [], [], [], [], weighted=False)
     line, cells = first
     header = [cell.strip().casefold() for cell in cells]
     if line == 1 and header[:2] == ["source", "target"]:
@@ -363,7 +365,7 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
         rows = itertools.chain([first], rows)
     src_col, dst_col, weight_col, date_col = cols
     width = len(cells)
-    links: list[LayerLink] = []
+    sources, targets, weights, days = [], [], [], []
     total = 0.0
     for line, cells in rows:
         if len(cells) != width:
@@ -386,11 +388,14 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
             total += weight
             if not math.isfinite(total):
                 raise ParseError("link weights sum past the float range", path=where, line=line)
-        stamp = None
+        day = MISSING_DAY
         if date_col is not None and cells[date_col].strip():
-            stamp = parse_date(cells[date_col], where, line)
-        links.append(LayerLink(source, target, weight, stamp))
-    return Layer.from_links(name, links, weighted=weight_col is not None)
+            day = parse_date(cells[date_col], where, line).toordinal()
+        sources.append(source)
+        targets.append(target)
+        weights.append(weight)
+        days.append(day)
+    return Layer.from_columns(name, sources, targets, weights, days, weighted=weight_col is not None)
 
 
 def export_layer_csv(layer: Layer, path: str | Path) -> None:

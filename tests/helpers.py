@@ -1,12 +1,11 @@
 """Builders shared across the test modules."""
 from __future__ import annotations
 
-from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from polarnet.network import Layer, LayerLink, Partition
+from polarnet.network import MISSING_DAY, Layer, Partition
 
 
 def ids(n: int) -> tuple[str, ...]:
@@ -21,14 +20,23 @@ def layer_of(
     weighted: bool | None = None,
 ) -> Layer:
     """Layer over nodes n0..n{n-1} from (src, dst[, weight[, day_ordinal]]) rows."""
-    records = []
-    for row in links:
-        s, t = row[0], row[1]
-        w = float(row[2]) if len(row) > 2 else 1.0
-        day = row[3] if len(row) > 3 else None
-        stamp = date.fromordinal(int(day)) if day is not None else None
-        records.append(LayerLink(f"n{s}", f"n{t}", w, stamp))
-    return Layer.from_links(name, records, weighted=weighted, node_ids=ids(n))
+    rows = []
+    for s, t, *rest in links:
+        w = rest[0] if rest else 1.0
+        day = rest[1] if len(rest) > 1 else None
+        rows.append((f"n{s}", f"n{t}", w, day))
+    return Layer.from_columns(name, *columns(rows), weighted=weighted, node_ids=ids(n))
+
+
+def columns(rows: Sequence[tuple]) -> tuple[list, list, list, list]:
+    """(sources, targets, weights, days) of (source, target, weight, day ordinal or None)
+    rows, an undated row's day being MISSING_DAY."""
+    return (
+        [row[0] for row in rows],
+        [row[1] for row in rows],
+        [float(row[2]) for row in rows],
+        [MISSING_DAY if row[3] is None else int(row[3]) for row in rows],
+    )
 
 
 def partition_of(n: int, codes: Sequence[int]) -> Partition:

@@ -167,6 +167,15 @@ def test_polarization_requires_seed_for_stochastic_portfolio(fixture_dir, capsys
     assert "--seed is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["polarization", "group-nmi"])
+def test_negative_seed_is_an_error_without_traceback(fixture_dir, capsys, command):
+    out = fixture_dir / "out"
+    args = [command, *_base_args(fixture_dir), "--portfolio", "f-1", "--seed", "-1"]
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["polarnet: error: --seed must be a non-negative integer, not -1"]
+
+
 def test_polarization_is_byte_deterministic(fixture_dir):
     outs = []
     for tag in ("one", "two"):

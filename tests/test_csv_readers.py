@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import columns
 from polarnet.cli import _read_events
 from polarnet.errors import ParseError
 from polarnet.ideology import read_positions
 from polarnet.network import (
     Layer,
-    LayerLink,
     LayerSchema,
     export_layer_csv,
     ingest_layer,
@@ -133,8 +133,12 @@ DATED = {
 }
 
 
-# Other ISO 8601 forms, which ``date.fromisoformat`` reads from Python 3.11 on.
-@pytest.mark.parametrize("day", ["20130105", "2013-W01-1"])
+# Other ISO 8601 forms, which ``date.fromisoformat`` reads from Python 3.11 on; year
+# 0 and a date with an hour, which numpy's datetime64 reads; a day past the month's
+# end; and full-width digits, which ``\d`` would match.
+@pytest.mark.parametrize(
+    "day", ["20130105", "2013-W01-1", "0000-01-01", "2013-01-05T00", "2013-02-30", "２０１３-01-05"]
+)
 @pytest.mark.parametrize("kind", sorted(DATED))
 def test_dates_other_than_yyyy_mm_dd_fail_at_their_line(tmp_path, kind, day):
     header, good, row = DATED[kind]
@@ -143,6 +147,16 @@ def test_dates_other_than_yyyy_mm_dd_fail_at_their_line(tmp_path, kind, day):
     with pytest.raises(ParseError) as err:
         READERS[kind][0](path)
     assert f"{path}:3: bad date {day!r} (expected YYYY-MM-DD)" in str(err.value)
+
+
+def test_layer_row_errors_name_the_first_bad_line(tmp_path):
+    """Rows are checked in order, so a bad date on line 2 is reported before a
+    bad weight on line 3."""
+    path = tmp_path / "layer.csv"
+    _write(path, "source,target,weight,date\na,b,1,2013-13-01\nb,c,heavy,2013-01-05\n")
+    with pytest.raises(ParseError) as err:
+        ingest_layer(path)
+    assert f"{path}:2: bad date '2013-13-01' (expected YYYY-MM-DD)" in str(err.value)
 
 
 def test_header_is_recognized_on_line_one_only(tmp_path):
@@ -168,9 +182,9 @@ _LINK = st.tuples(
 @example(links=[("a", "b", 0.1, None), ("a", "b", 0.2, None)], weighted=True, dated=False)
 def test_exported_layer_reingests_equal_with_bom_and_crlf(tmp_path_factory, links, weighted,
                                                            dated):
-    records = [LayerLink(s, t, w if weighted else 1.0, d if dated else None)
-               for s, t, w, d in links]
-    original = Layer.from_links("l", records, weighted=weighted)
+    rows = [(s, t, w if weighted else 1.0, d.toordinal() if dated and d is not None else None)
+            for s, t, w, d in links]
+    original = Layer.from_columns("l", *columns(rows), weighted=weighted)
     root = tmp_path_factory.mktemp("roundtrip")
     export_layer_csv(original, root / "plain.csv")
     text = (root / "plain.csv").read_text(encoding="utf-8")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ids, layer_of, partition_of, random_digraph
+from helpers import columns, ids, layer_of, partition_of, random_digraph
 from oracles import (
     entropy_oracle,
     entropy_reference,
@@ -31,7 +31,7 @@ from polarnet.infometrics import (
     partial_jaccard,
     partition_nmi,
 )
-from polarnet.network import Layer, LayerLink, MultiplexNetwork, Partition, filter_partition
+from polarnet.network import Layer, MultiplexNetwork, Partition, filter_partition
 from polarnet.timeseries import window_slice
 
 
@@ -100,11 +100,11 @@ _VARIANTS = ("plain", "mismatch", "assemble", "drop1", "drop2", "filter", "windo
 
 
 def _overlap_layer(name, records, weighted, node_ids=None):
-    links = [
-        LayerLink(s, t, w if weighted else 1.0, None if day is None else _DAY0 + timedelta(day))
+    rows = [
+        (s, t, w if weighted else 1.0, None if day is None else _DAY0.toordinal() + day)
         for s, t, w, day in records
     ]
-    return Layer.from_links(name, links, weighted=weighted, node_ids=node_ids)
+    return Layer.from_columns(name, *columns(rows), weighted=weighted, node_ids=node_ids)
 
 
 def _windowed_pairs(records, weighted, lo, hi):

@@ -1,13 +1,18 @@
-"""Relabeling nodes or reordering layer rows does not change the metrics.
+"""Relabeling nodes, reordering layer rows or scaling every weight by a power
+of two does not change the metrics.
 
 Scope: construction sorts a layer's arrays by (source, target, day), so rows
 reordered without duplicate links give bit-identical layers, and with them
 bit-identical Q, demodularity values and pair-indicator counts.  Relabeling
 permutes the registry and with it the order in which every weight sum adds
 up, so Q and the demodularity values are compared to 1e-12 there; the
-indicator counts are integers and stay exact.
+indicator counts are integers and stay exact.  Scaling by 2^k is exact, so
+Q, the weight-normalized demodularity values and detection stay bit-identical
+over the whole float range, and demodularity per link scales by exactly 2^k.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import layer_of
+from polarnet.communities import run_combo
 from polarnet.infometrics import LinkIndicatorPair
 from polarnet.modularity import NORMALIZATIONS, demodularity_matrix, q_modularity
 from polarnet.network import Partition
@@ -94,3 +100,27 @@ def test_relabeled_nodes_give_the_same_metrics(case):
         np.testing.assert_allclose(values2, values, rtol=0, atol=1e-12, equal_nan=True)
         assert undefined2 == undefined
     assert counts2 == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_case(), k=st.one_of(st.sampled_from([-1000, 600]), st.integers(-1000, 600)))
+def test_weights_scaled_by_a_power_of_two_give_bit_identical_scores(case, k):
+    """Products of degrees and m * m would underflow at 2^-1000 and overflow at 2^600."""
+    n, layers, codes, _, _ = case
+    rows = layers[0]
+    assume(_has_metric_links(rows))
+    layer = layer_of(n, rows, weighted=True)
+    scaled = layer_of(n, [(s, t, math.ldexp(w, k), d) for s, t, w, d in rows], weighted=True)
+    partition = _partition([f"n{i}" for i in range(n)], codes)
+    assert q_modularity(scaled, partition).hex() == q_modularity(layer, partition).hex()
+    for norm in NORMALIZATIONS:
+        values = demodularity_matrix(layer, partition, normalization=norm).values
+        expected = np.ldexp(values, k) if norm == "link_count" else values
+        got = demodularity_matrix(scaled, partition, normalization=norm).values
+        assert got.tobytes() == expected.tobytes()
+    for script in ("f-1", "r-1", "s-1", "e-1"):
+        found, again = run_combo(layer, script, seed=1), run_combo(scaled, script, seed=1)
+        assert again.q.hex() == found.q.hex()
+        assert again.partition.codes(scaled.node_ids).tolist() == found.partition.codes(
+            layer.node_ids
+        ).tolist()

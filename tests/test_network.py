@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ids, layer_of
+from helpers import columns, ids, layer_of
 from oracles import layer_merge_oracle, symmetric_adjacency_oracle
 from polarnet.errors import ParseError, ValidationError
 from polarnet.network import (
+    MISSING_DAY,
     Layer,
-    LayerLink,
     LayerSchema,
     MultiplexNetwork,
     Partition,
@@ -200,7 +200,7 @@ def test_export_round_trip(tmp_path):
 
 def test_unknown_node_rejected_with_fixed_registry():
     with pytest.raises(ValidationError):
-        Layer.from_links("l", [LayerLink("a", "zzz")], node_ids=("a", "b"))
+        Layer.from_columns("l", ["a"], ["zzz"], [1.0], [MISSING_DAY], node_ids=("a", "b"))
 
 
 # (source, target, weight, day offset or None).  Weights like 0.1, 0.2, 0.3
@@ -234,7 +234,7 @@ _SPOIL = st.one_of(
     links=[("a", "b", 1.0, 2), ("a", "b", 1.0, None), ("a", "b", 1.0, 0), ("b", "b", 1.0, None)],
     weighted=False, unit=True, spoil=None, node_ids=None,
 )
-def test_from_links_equals_dict_merge_oracle(links, weighted, unit, spoil, node_ids):
+def test_from_columns_equals_dict_merge_oracle(links, weighted, unit, spoil, node_ids):
     records = [
         (s, t, 1.0 if unit else w, None if day is None else date(2021, 3, 1 + day))
         for s, t, w, day in links
@@ -244,8 +244,8 @@ def test_from_links_equals_dict_merge_oracle(links, weighted, unit, spoil, node_
         records[spoil[0]] = (s, t, spoil[1], when)
 
     def build() -> Layer:
-        links = [LayerLink(*record) for record in records]
-        return Layer.from_links("l", links, weighted=weighted, node_ids=node_ids)
+        rows = [(s, t, w, None if when is None else when.toordinal()) for s, t, w, when in records]
+        return Layer.from_columns("l", *columns(rows), weighted=weighted, node_ids=node_ids)
 
     try:
         registry, src, dst, weight, days = layer_merge_oracle(records, weighted, node_ids)
@@ -368,7 +368,7 @@ def test_partition_codes_follow_label_order():
 
 def test_assemble_registry_order_and_lookup():
     a = layer_of(2, [(0, 1)], name="a")
-    b = Layer.from_links("b", [LayerLink("extra", "n0")])
+    b = Layer.from_columns("b", ["extra"], ["n0"], [1.0], [MISSING_DAY])
     network = MultiplexNetwork.assemble([a, b], node_table={"table_first": "X"})
     assert network.node_ids[0] == "table_first"
     assert set(network.node_ids) == {"table_first", "n0", "n1", "extra"}
@@ -508,12 +508,12 @@ _ADJ_LINK = st.tuples(
 )
 def test_symmetric_adjacency_equals_dict_oracle_bit_for_bit(n, links, weighted):
     registry = ids(n)
-    records = [
-        LayerLink(registry[s % n], registry[t % n], w if weighted else 1.0,
-                  None if day is None else date(2021, 3, 1 + day))
+    rows = [
+        (registry[s % n], registry[t % n], w if weighted else 1.0,
+         None if day is None else date(2021, 3, 1 + day).toordinal())
         for s, t, w, day in links
     ]
-    layer = Layer.from_links("l", records, weighted=weighted, node_ids=registry)
+    layer = Layer.from_columns("l", *columns(rows), weighted=weighted, node_ids=registry)
     src, dst, w = layer.metric_view()
     adj = symmetric_adjacency(n, src, dst, w)
     expected = symmetric_adjacency_oracle(n, zip(src.tolist(), dst.tolist(), w.tolist()))
