@@ -27,11 +27,22 @@ import numpy as np
 from .communities import DEFAULT_PORTFOLIO, ComboScript, DetectionResult, derive_seed, run_portfolio
 from .errors import PolarnetError, ValidationError
 from .ideology import demod_distance_analysis, read_positions
-from .infometrics import ESTIMATORS, jackknife, link_nmi, partial_jaccard, partition_nmi
+# jackknife is not called here; it stays bound because perfbench's tracer wraps cli.jackknife.
+from .infometrics import (
+    ESTIMATORS,
+    LinkIndicatorPair,
+    MetricEstimate,
+    jackknife,
+    link_nmi,
+    partial_jaccard,
+    partition_nmi,
+    replicate_values,
+)
 from .modularity import (
     NORMALIZATIONS,
     classify_polarization,
     demodularity_matrix,
+    leave_one_out_q,
     q_modularity,
 )
 from .network import (
@@ -191,31 +202,39 @@ def _emit(args: argparse.Namespace, stem: str, header: Sequence[str], rows: list
 # -- subcommands -----------------------------------------------------------
 
 
-def _estimate(
-    args: argparse.Namespace, metric: Callable, network: MultiplexNetwork, layers: tuple[str, ...]
-) -> list[Any]:
-    """[point, jack_mean, two_sigma, unreliable] of a metric reading only ``layers``."""
+def _estimate(args: argparse.Namespace, point: float, replicates: Callable[[], list]) -> list[Any]:
+    """[point, jack_mean, two_sigma, unreliable]; ``replicates()`` gives the
+    leave-one-node-out values in index order, None where undefined."""
     if args.no_jackknife:
-        return [metric(network), None, None, None]
-    est = jackknife(metric, network, only_layers=layers)
+        return [point, None, None, None]
+    est = MetricEstimate.from_replicates(point, replicates())
     return [est.point, est.jack_mean, est.two_sigma, est.unreliable]
 
 
 def cmd_layer_similarity(args: argparse.Namespace) -> int:
     run = _load_run(args, need_partition=False, min_layers=2)
-    names = run.layer_names
+    network, names = run.network, run.layer_names
     header = ["metric", "layer_x", "layer_y", "point", "jack_mean", "two_sigma", "unreliable"]
     rows: list[list[Any]] = []
+    # Each replicate's counts, computed once per unordered layer pair.
+    pairs: dict[tuple[str, str], list[LinkIndicatorPair]] = {}
+    if not args.no_jackknife:
+        nodes = network.active_indices()
+        for i, x in enumerate(names):
+            for y in names[i + 1:]:
+                counts = LinkIndicatorPair.leave_one_out(network.layer(x), network.layer(y), nodes)
+                pairs[(x, y)], pairs[(y, x)] = counts, [pair.swapped() for pair in counts]
     for x in names:
         for y in names:
             if x == y:
                 continue
-            metrics = {
-                "overlap": lambda net, a=x, b=y: partial_jaccard(net.layer(a), net.layer(b)),
-                "nmi": lambda net, a=x, b=y: link_nmi(net.layer(a), net.layer(b), args.estimator)[0],
-            }
-            for metric_name, fn in metrics.items():
-                rows.append([metric_name, x, y, *_estimate(args, fn, run.network, (x, y))])
+            a, b = network.layer(x), network.layer(y)
+            rows.append(["overlap", x, y, *_estimate(
+                args, partial_jaccard(a, b),
+                lambda: replicate_values(LinkIndicatorPair.partial_jaccard, pairs[(x, y)]))])
+            rows.append(["nmi", x, y, *_estimate(
+                args, link_nmi(a, b, args.estimator)[0],
+                lambda: replicate_values(lambda pair: pair.nmi(args.estimator)[0], pairs[(x, y)]))])
     _emit(args, "layer_similarity", header, rows)
     return 0
 
@@ -244,12 +263,10 @@ def cmd_polarization(args: argparse.Namespace) -> int:
         codes = partition.codes(network.node_ids)
         for layer_index, name in enumerate(run.layer_names):
             layer = network.layer(name)
-
-            def q_party(net: MultiplexNetwork, _name: str = name) -> float:
-                return q_modularity(net.layer(_name), None, codes=codes)
-
             detection = _detect(layer, scripts, root_seed, layer_index, variant_index)
-            point, *jack = _estimate(args, q_party, network, (name,))
+            point, *jack = _estimate(
+                args, q_modularity(layer, None, codes=codes),
+                lambda: leave_one_out_q(layer, codes, network.active_indices()))
             rows.append(
                 [
                     name,

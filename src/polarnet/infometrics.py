@@ -8,12 +8,14 @@ information.  Entropies are in bits and use the Miller-Madow corrected
 estimator by default, with the plain maximum-likelihood estimator available
 as a switch, from one entropy function.  Every information score reads one
 pass over its joint count table: three entropies give I(X;Y) and both NMIs.
-Error bars come from leave-one-node-out jackknife resampling.
+Error bars come from leave-one-node-out jackknife resampling: ``jackknife``
+copies the network per replicate, and ``LinkIndicatorPair.leave_one_out``
+gives every replicate's table in closed form from per-node link counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,10 +54,10 @@ def jaccard(x: Layer, y: Layer) -> float:
 
 def partial_jaccard(x: Layer, y: Layer) -> float:
     """|X ∩ Y| / |Y|: the share of Y's links also present in X."""
-    pair = LinkIndicatorPair.from_layers(x, y)
-    if pair.n11 + pair.n01 == 0:
-        raise UndefinedMetricError(f"layer {y.name!r} has no links")
-    return pair.n11 / (pair.n11 + pair.n01)
+    try:
+        return LinkIndicatorPair.from_layers(x, y).partial_jaccard()
+    except UndefinedMetricError:
+        raise UndefinedMetricError(f"layer {y.name!r} has no links") from None
 
 
 def _checked(counts: Sequence | np.ndarray) -> np.ndarray:
@@ -158,6 +160,48 @@ class LinkIndicatorPair:
             raise ValidationError("link sets exceed the ordered-pair universe")
         return cls(n11, n10, n01, n00)
 
+    @classmethod
+    def leave_one_out(cls, x: Layer, y: Layer, nodes: Sequence[int]) -> list["LinkIndicatorPair"]:
+        """The counts of ``from_layers`` on each node's ``drop_node`` copy, in closed form.
+
+        Removing v removes exactly the pairs incident to v, so each count drops
+        by v's incident pairs in X, Y and X ∩ Y, and the universe shrinks to
+        (n - 1)(n - 2).  The counts are exact integers.
+        """
+        _check_shared_registry(x, y)
+        size = len(x.node_ids)
+        a, b = _link_keys(x), _link_keys(y)
+        v = np.asarray(nodes, dtype=np.int64)
+
+        def incident(keys: np.ndarray) -> np.ndarray:
+            ends = np.bincount(keys // size, minlength=size) + np.bincount(keys % size, minlength=size)
+            return ends[v]
+
+        both = np.intersect1d(a, b, assume_unique=True)
+        n = x.node_count - 1
+        n11 = len(both) - incident(both)
+        n10 = len(a) - incident(a) - n11
+        n01 = len(b) - incident(b) - n11
+        n00 = n * (n - 1) - n11 - n10 - n01
+        if (n00 < 0).any():
+            raise ValidationError("link sets exceed the ordered-pair universe")
+        return [cls(*counts) for counts in zip(n11.tolist(), n10.tolist(), n01.tolist(), n00.tolist())]
+
+    def swapped(self) -> "LinkIndicatorPair":
+        """The counts of the layers in the other order."""
+        return LinkIndicatorPair(self.n11, self.n01, self.n10, self.n00)
+
+    def partial_jaccard(self) -> float:
+        """|X ∩ Y| / |Y|, undefined when Y is empty."""
+        if self.n11 + self.n01 == 0:
+            raise UndefinedMetricError("layer y has no links")
+        return self.n11 / (self.n11 + self.n01)
+
+    def nmi(self, estimator: str = "mm") -> tuple[float, float]:
+        """(NMI(X|Y), NMI(Y|X)), undefined when either layer's indicator has zero entropy."""
+        mi, hx, hy = _information(self.table(), estimator)
+        return _normalized(mi.raw, hx), _normalized(mi.raw, hy)
+
     def table(self) -> np.ndarray:
         return np.array([[self.n11, self.n10], [self.n01, self.n00]], dtype=np.float64)
 
@@ -168,8 +212,7 @@ def link_nmi(x: Layer, y: Layer, estimator: str = "mm") -> tuple[float, float]:
     Both layers are read as indicator variables over all ordered non-self
     node pairs; NMI(X|Y) normalizes the shared information by H(X).
     """
-    mi, hx, hy = _information(LinkIndicatorPair.from_layers(x, y).table(), estimator)
-    return _normalized(mi.raw, hx), _normalized(mi.raw, hy)
+    return LinkIndicatorPair.from_layers(x, y).nmi(estimator)
 
 
 def partition_nmi(
@@ -201,39 +244,47 @@ class MetricEstimate:
     skipped: int = 0
     unreliable: bool = False
 
+    @classmethod
+    def from_replicates(cls, point: float, replicates: Sequence[float | None]) -> "MetricEstimate":
+        """Summarize one replicate per active node, in index order, None where the
+        metric is undefined: those are skipped and counted, and more than 10%
+        skipped flags the estimate unreliable.  ``two_sigma`` is 2 * std (ddof=0)."""
+        values = np.array([value for value in replicates if value is not None], dtype=np.float64)
+        if not len(values):
+            raise UndefinedMetricError("metric undefined on every jackknife replicate")
+        samples = len(replicates)
+        skipped = samples - len(values)
+        return cls(
+            point=float(point),
+            jack_mean=float(values.mean()),
+            two_sigma=float(2.0 * values.std(ddof=0)),
+            samples=samples,
+            skipped=skipped,
+            unreliable=skipped > 0.1 * samples,
+        )
+
+
+def replicate_values(score: Callable[[Any], float], replicates: Iterable[Any]) -> list[float | None]:
+    """score(replicate) per replicate as a float, None where it is undefined."""
+    values: list[float | None] = []
+    for replicate in replicates:
+        try:
+            values.append(float(score(replicate)))
+        except UndefinedMetricError:
+            values.append(None)
+    return values
+
 
 def jackknife(
     metric: Callable[[MultiplexNetwork], float],
     network: MultiplexNetwork,
-    *,
-    only_layers: Sequence[str] | None = None,
 ) -> MetricEstimate:
-    """Leave-one-node-out resampling of a scalar network metric.
+    """Leave-one-node-out resampling of a scalar network metric, by brute force.
 
     One replicate per active node, in index order: the node and its incident
-    links are removed from every layer (or just ``only_layers`` when the
-    metric reads nothing else) and the metric re-evaluated.  Replicates where
-    the metric is undefined are skipped and counted; more than 10% skipped
-    flags the estimate unreliable.  Bind metric arguments via a closure.
+    links are removed from every layer and the metric re-evaluated on the
+    copy.  Bind metric arguments via a closure.
     """
     point = float(metric(network))
-    values = []
-    skipped = 0
-    for v in network.active_indices():
-        replicate = network.drop_node(v, only_layers=only_layers)
-        try:
-            values.append(float(metric(replicate)))
-        except UndefinedMetricError:
-            skipped += 1
-    samples = network.n
-    if not values:
-        raise UndefinedMetricError("metric undefined on every jackknife replicate")
-    arr = np.array(values)
-    return MetricEstimate(
-        point=point,
-        jack_mean=float(arr.mean()),
-        two_sigma=float(2.0 * arr.std(ddof=0)),
-        samples=samples,
-        skipped=skipped,
-        unreliable=skipped > 0.1 * samples,
-    )
+    replicates = (network.drop_node(v) for v in network.active_indices())
+    return MetricEstimate.from_replicates(point, replicate_values(metric, replicates))

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InternalConsistencyError, UndefinedMetricError, ValidationError
 from .network import Layer, Partition
@@ -68,6 +70,55 @@ def q_modularity(
     if not (-1.0 - 1e-9 <= q <= 1.0 + 1e-9):
         raise InternalConsistencyError(f"modularity {q!r} outside [-1, 1]")
     return float(q)
+
+
+def leave_one_out_q(layer: Layer, codes: np.ndarray, nodes: Sequence[int]) -> list[float | None]:
+    """``q_modularity(layer.without_node(v), None, codes=codes)`` for each v in
+    ``nodes``, None where no non-self link is left, in closed form.
+
+    Removing v changes Q only through v's own sums: m loses v's strengths
+    s_out + s_in, the intra-group weight loses v's links to and from its
+    group c_v, K_out loses W_in[v] (the weights g -> v) plus s_out at c_v, and
+    K_in loses W_out[v] (the weights v -> g) plus s_in at c_v.  The
+    subtractions lose about log2(m / m') bits, so a replicate that keeps less
+    than 1/256 of the weight is computed from its remaining links instead.
+    """
+    src, dst, w, m, _ = scaled_metric_view(layer)
+    groups = int(codes.max()) + 1 if len(codes) else 1
+    size = len(layer.node_ids)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    links_left = len(src) - (np.bincount(src, minlength=size) + np.bincount(dst, minlength=size))[nodes]
+    s_out = np.bincount(src, weights=w, minlength=size)[nodes]
+    s_in = np.bincount(dst, weights=w, minlength=size)[nodes]
+    m_left = m - s_out - s_in
+    closed = (links_left > 0) & (m_left * 256.0 >= m)
+    w_out = csr_matrix((w, (src, codes[dst])), shape=(size, groups))
+    w_in = csr_matrix((w, (dst, codes[src])), shape=(size, groups))
+    intra = float(w[codes[src] == codes[dst]].sum())
+    k_out = np.bincount(codes[src], weights=w, minlength=groups)
+    k_in = np.bincount(codes[dst], weights=w, minlength=groups)
+    q = np.full(len(nodes), np.nan)
+    # Dense per-node group vectors, at most 2^20 values per block.
+    step = max(1, (1 << 20) // groups)
+    at = np.flatnonzero(closed)
+    for part in np.split(at, range(step, len(at), step)):
+        v, rows = nodes[part], np.arange(len(part))
+        c, out_v, in_v = codes[v], w_out[v].toarray(), w_in[v].toarray()
+        intra_v = intra - out_v[rows, c] - in_v[rows, c]
+        k_out_v = k_out - in_v
+        k_out_v[rows, c] -= s_out[part]
+        k_in_v = k_in - out_v
+        k_in_v[rows, c] -= s_in[part]
+        q[part] = (intra_v - np.einsum("ij,ij->i", k_out_v, k_in_v) / m_left[part]) / m_left[part]
+    bad = closed & ~(np.abs(q) <= 1.0 + 1e-9)
+    if bad.any():
+        raise InternalConsistencyError(f"modularity {float(q[bad][0])!r} outside [-1, 1]")
+    return [
+        float(q[i]) if closed[i]
+        else None if links_left[i] == 0
+        else q_modularity(layer.without_node(int(nodes[i])), None, codes=codes)
+        for i in range(len(nodes))
+    ]
 
 
 def classify_polarization(q: float) -> str:

@@ -187,6 +187,11 @@ class Layer:
             self.node_count if node_count is None else node_count,
         )
 
+    def without_node(self, v: int) -> "Layer":
+        """The layer with node index v and its incident links removed."""
+        keep = (self.src != v) & (self.dst != v)
+        return self._masked(keep, node_count=self.node_count - 1)
+
     def remapped(self, node_ids: tuple[str, ...], lut: np.ndarray) -> "Layer":
         """Re-express link endpoints against a new registry via a lookup table."""
         src = lut[self.src]
@@ -608,25 +613,18 @@ class MultiplexNetwork:
         except KeyError:
             raise ValidationError(f"no layer named {name!r}") from None
 
-    def drop_node(self, node: int | str, only_layers: Sequence[str] | None = None) -> "MultiplexNetwork":
+    def drop_node(self, node: int | str) -> "MultiplexNetwork":
         """Leave-one-out copy: the node and its incident links are removed.
 
         Indices are not renumbered; the node is marked inactive and filtered
-        from layer arrays.  When ``only_layers`` is given, the copy contains
-        just those layers (the caller's metric must not touch others).
+        from layer arrays.
         """
         v = self.index[node] if isinstance(node, str) else int(node)
         if v in self.inactive:
             raise ValidationError(f"node index {v} already removed")
-        names = list(self.layers) if only_layers is None else list(only_layers)
-        new_layers = {}
-        for name in names:
-            layer = self.layer(name)
-            keep = (layer.src != v) & (layer.dst != v)
-            new_layers[name] = layer._masked(keep, node_count=layer.node_count - 1)
         # Instances are immutable, so the replica shares the registry index.
         replica = copy.copy(self)
-        replica.layers = new_layers
+        replica.layers = {name: layer.without_node(v) for name, layer in self.layers.items()}
         replica.inactive = self.inactive | {v}
         return replica
 

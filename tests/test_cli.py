@@ -14,7 +14,7 @@ import pytest
 
 import polarnet
 from polarnet.cli import main
-from polarnet.infometrics import link_nmi, partial_jaccard
+from polarnet.infometrics import jackknife, link_nmi, partial_jaccard
 from polarnet.modularity import q_modularity
 from polarnet.network import (
     MultiplexNetwork,
@@ -354,6 +354,39 @@ def test_layer_similarity_jackknife_columns_filled(fixture_dir):
         assert row["jack_mean"] != ""
         assert float(row["two_sigma"]) >= 0.0
         assert row["unreliable"] in ("true", "false")
+
+
+def test_jackknife_cells_equal_brute_force_jackknife(fixture_dir):
+    """The closed-form error bars equal ``jackknife`` over ``drop_node`` copies."""
+    out = fixture_dir / "out"
+    assert main(["polarization", *_base_args(fixture_dir), "--portfolio", "f-1",
+                 "--out", str(out)]) == 0
+    assert main(["layer-similarity", *_base_args(fixture_dir), "--out", str(out)]) == 0
+    network, partition, merge = _library_view(fixture_dir)
+
+    def cells(metric, net) -> list[str]:
+        estimate = jackknife(metric, net)
+        return [format_value(v) for v in (estimate.jack_mean, estimate.two_sigma, estimate.unreliable)]
+
+    rows = _read_rows(out / "polarization.csv")
+    assert len(rows) == 4
+    for row in rows:
+        net, part = network, partition
+        if row["variant"] == "excl_unaligned":
+            net, part = filter_partition(network, partition, merge.unaligned_label)
+        codes = part.codes(net.node_ids)
+        metric = lambda sub, name=row["layer"]: q_modularity(sub.layer(name), None, codes=codes)
+        assert [row["jack_mean"], row["two_sigma"], row["unreliable"]] == cells(metric, net)
+
+    rows = _read_rows(out / "layer_similarity.csv")
+    assert len(rows) == 4
+    for row in rows:
+        x, y = row["layer_x"], row["layer_y"]
+        if row["metric"] == "overlap":
+            metric = lambda sub: partial_jaccard(sub.layer(x), sub.layer(y))
+        else:
+            metric = lambda sub: link_nmi(sub.layer(x), sub.layer(y), "mm")[0]
+        assert [row["jack_mean"], row["two_sigma"], row["unreliable"]] == cells(metric, network)
 
 
 # -- group NMI --------------------------------------------------------------

@@ -610,16 +610,3 @@ def test_jackknife_all_skipped_raises():
     with pytest.raises(UndefinedMetricError):
         jackknife(lambda sub: q_modularity(sub.layer("links"), part), net)
 
-
-def test_jackknife_only_layers_matches_full_drop_for_single_layer_metric():
-    rng = np.random.default_rng(4)
-    net = MultiplexNetwork.assemble(
-        [
-            layer_of(8, random_digraph(rng, 8, 0.4), name="a"),
-            layer_of(8, random_digraph(rng, 8, 0.4), name="b"),
-        ]
-    )
-    metric = _weight_sum("a")
-    full = jackknife(metric, net)
-    scoped = jackknife(metric, net, only_layers=("a",))
-    assert full == scoped

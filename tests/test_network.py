@@ -402,14 +402,6 @@ def test_drop_node_shares_the_parent_registry_index():
     assert dropped.drop_node("n0").index is network.index
 
 
-def test_drop_node_only_layers_restricts_copy():
-    a = layer_of(3, [(0, 1)], name="a")
-    b = layer_of(3, [(1, 2)], name="b")
-    network = MultiplexNetwork.assemble([a, b])
-    restricted = network.drop_node("n0", only_layers=("b",))
-    assert set(restricted.layers) == {"b"}
-
-
 def test_induced_renumbers():
     layer = layer_of(4, [(0, 1), (1, 2), (2, 3)])
     network = MultiplexNetwork.assemble([layer])
