@@ -5,8 +5,10 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
 * ``f`` greedy agglomeration (Clauset, Newman & Moore 2004): start from
   singletons, repeatedly apply the merge with the largest modularity gain,
   ties to the smallest (lo, hi) pair, until none is positive.  Each
-  community row keeps its best gain and partner, so a merge rescans only
-  the rows it touches.
+  community row keeps its best gain and partner, or only an upper bound on
+  its gains once it loses that partner; a merge recomputes only the
+  survivor's row, and a row whose bound reaches the top is recomputed
+  before it is merged.
 * ``s`` spectral bisection: recursive leading-eigenvector splits of the
   symmetrized modularity matrix, found by LAPACK ``eigh`` on the dense
   matrix of a small subgraph and by ARPACK ``eigsh`` on a matrix-free
@@ -137,12 +139,25 @@ def _fast_greedy(problem: _Problem) -> np.ndarray:
 
     Every merge joins the pair of communities with the largest modularity
     gain, ties going to the smallest (lo, hi) pair, until no gain exceeds
-    ``IMPROVE_TOL``.  Each row keeps its best gain and its best partner (ties
-    to the smaller partner).  A merge of b into a recomputes row a; a
-    neighbour x takes a as its best partner when its new gain towards a
-    beats its old best, and is recomputed only when it loses its best
-    partner a or b to a lower gain.  Pairs that touch neither keep their
-    gains.
+    ``IMPROVE_TOL``.  Each row x holds ``best_gain[x]``: either its exact
+    best gain, with ``best_to[x]`` the partner (ties to the smaller), or,
+    when ``stale[x]``, an upper bound on every gain of the row.
+
+    A merge of b into a recomputes row a alone.  Any other pair changes only
+    if it touches a or b, so a neighbour x keeps its other gains.  If x is
+    exact, they are all at most its best, and at that best their partner is
+    above a; a gain towards a at least as high becomes its best.  If x is
+    stale, they are all at most its bound; a gain towards a strictly above
+    it is its exact best.  An exact x whose best partner was a or b and that
+    does not take a keeps its old best as a bound and turns stale.
+
+    A merge comes from the first row holding the largest value.  If that row
+    is stale, every stale row whose bound reaches the largest exact best is
+    recomputed first, and the pick is made again.  Once the first row a is
+    exact, its best is at least every row's true best, and every earlier
+    row's value, bound or exact, is strictly below it.  A tied pair (y, x)
+    with y < a would hold that gain in row y, so a's best pair is still the
+    smallest tied (lo, hi), and the merges are those of the heap order.
     """
     n, m = problem.n, problem.m
     k_out, k_in = problem.k_out.copy(), problem.k_in.copy()
@@ -150,43 +165,42 @@ def _fast_greedy(problem: _Problem) -> np.ndarray:
     spans = list(zip(adj.indptr.tolist(), adj.indptr[1:].tolist()))
     nbr, wboth = adj.indices.tolist(), adj.data.tolist()
     conn = [dict(zip(nbr[lo:hi], wboth[lo:hi])) for lo, hi in spans]
-    # Array copies of the rows for refresh; None once a merge changes the row.
-    row_to: list[np.ndarray | None] = [adj.indices[lo:hi] for lo, hi in spans]
-    row_w: list[np.ndarray | None] = [adj.data[lo:hi] for lo, hi in spans]
     members: list[list[int]] = [[i] for i in range(n)]
+    # Elementwise double arithmetic, here and in recompute, symmetric bit
+    # for bit: gain(x, y) == gain(y, x).
+    sizes = np.diff(adj.indptr)
+    own = np.repeat(np.arange(n), sizes)
+    gains = adj.data / m - (
+        k_out[own] * k_in[adj.indices] + k_out[adj.indices] * k_in[own]
+    ) / (m * m)
+    full = np.flatnonzero(sizes)
     best_gain = np.full(n, -np.inf)  # -inf marks a dead or empty row
+    best_gain[full] = np.maximum.reduceat(gains, adj.indptr[full])
     best_to = np.full(n, -1, dtype=np.int64)
+    tied = np.where(gains == np.repeat(best_gain, sizes), adj.indices, n)
+    best_to[full] = np.minimum.reduceat(tied, adj.indptr[full])
+    stale = np.zeros(n, dtype=bool)
 
-    def refresh(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute the best of each row in ``rows`` (none empty); returns
-        the keys and gains of all their pairs, row after row."""
-        for x in rows:
-            if row_to[x] is None:
-                row_to[x] = np.fromiter(conn[x], np.int64, len(conn[x]))
-                row_w[x] = np.fromiter(conn[x].values(), np.float64, len(conn[x]))
-        to = np.concatenate([row_to[x] for x in rows])
-        sizes = np.array([len(conn[x]) for x in rows])
-        own = np.repeat(rows, sizes)
-        # Elementwise double arithmetic, symmetric bit for bit:
-        # gain(x, y) == gain(y, x).
-        gains = np.concatenate([row_w[x] for x in rows]) / m - (
-            k_out[own] * k_in[to] + k_out[to] * k_in[own]
+    def recompute(x: int) -> tuple[np.ndarray, np.ndarray]:
+        """Make row x (not empty) exact; returns its partners and gains."""
+        keys = np.fromiter(conn[x], np.int64, len(conn[x]))
+        gains = np.fromiter(conn[x].values(), np.float64, len(conn[x])) / m - (
+            k_out[x] * k_in[keys] + k_out[keys] * k_in[x]
         ) / (m * m)
-        starts = np.cumsum(sizes) - sizes
-        top = np.maximum.reduceat(gains, starts)
-        tied = np.where(gains == np.repeat(top, sizes), to, n)
-        best_gain[rows] = top
-        best_to[rows] = np.minimum.reduceat(tied, starts)
-        return to, gains
+        best_gain[x] = top = gains.max()
+        best_to[x] = keys[gains == top].min()
+        stale[x] = False
+        return keys, gains
 
-    refresh([x for x in range(n) if conn[x]])
     while True:
-        # The first row holding the largest gain is the lo of the smallest
-        # tied (lo, hi) pair, and its best partner is that pair's hi: a
-        # partner below it would hold the same gain in an earlier row.
         a = int(best_gain.argmax())
         if best_gain[a] <= IMPROVE_TOL:
             break
+        if stale[a]:
+            top = best_gain.max(where=~stale, initial=-np.inf)
+            for x in np.flatnonzero(stale & (best_gain >= top)).tolist():
+                recompute(x)
+            continue
         b = int(best_to[a])
         # Merge b into a; a < b keeps the smallest label as the survivor.
         members[a].extend(members[b])
@@ -200,23 +214,20 @@ def _fast_greedy(problem: _Problem) -> np.ndarray:
             conn[a][x] = conn[a].get(x, 0.0) + wx
             conn[x][a] = conn[a][x]
             del conn[x][b]
-            row_to[x] = row_w[x] = None
         conn[b] = {}
-        row_to[a] = row_w[a] = None
         best_gain[b] = -np.inf
+        stale[b] = False
         if not conn[a]:
             best_gain[a] = -np.inf
             continue
-        keys, gains = refresh([a])
-        # Neighbour x keeps its other pairs, all at most its old best and,
-        # at that best, above a; so a gain towards a at least as high wins.
-        old, prev = best_gain[keys], best_to[keys]
-        take = (gains > old) | ((gains == old) & (prev >= a))
+        keys, gains = recompute(a)
+        old, prev, bound = best_gain[keys], best_to[keys], stale[keys]
+        take = (gains > old) | ((gains == old) & (prev >= a) & ~bound)
+        # Marking a stale row again keeps its bound; a take overrides the mark.
+        stale[keys[(prev == a) | (prev == b)]] = True
         best_gain[keys[take]] = gains[take]
         best_to[keys[take]] = a
-        lost = keys[~take & ((prev == a) | (prev == b))]
-        if len(lost):
-            refresh(lost.tolist())
+        stale[keys[take]] = False
     codes = np.empty(n, dtype=np.int64)
     for rep in range(n):
         for node in members[rep]:
@@ -484,13 +495,6 @@ def _result(
     assignment = {node: labels[codes[i]] for i, node in enumerate(problem.layer.node_ids)}
     partition = Partition.from_assignment(assignment, labels)
     return DetectionResult(partition, q, script, seed, len(labels), flags)
-
-
-def detect_fast(layer: Layer) -> DetectionResult:
-    """Greedy modularity agglomeration from singletons (deterministic)."""
-    problem = _Problem(layer)
-    codes = _fast_greedy(problem)
-    return _result(problem, "f-1", None, codes, problem.q_of(codes))
 
 
 def detect_spectral(layer: Layer, seed: int) -> DetectionResult:

@@ -16,7 +16,6 @@ from polarnet.communities import (
     DEFAULT_PORTFOLIO,
     ComboScript,
     detect_extremal,
-    detect_fast,
     detect_spectral,
     refine_reposition,
     run_combo,
@@ -83,7 +82,7 @@ def test_parse_round_trips_canonical_text():
 
 def test_fast_greedy_finds_two_cliques():
     layer = _two_triangles()
-    result = detect_fast(layer)
+    result = run_combo(layer, "f-1")
     assert _groups(result.partition) == {
         frozenset({"n0", "n1", "n2"}),
         frozenset({"n3", "n4", "n5"}),
@@ -104,7 +103,7 @@ def test_fast_greedy_matches_exhaustive_optimum():
     ] + [(0, 3, 1.0)]
     layer = layer_of(6, [(s, t) for s, t, _ in links])
     best_q, _ = best_partition_oracle(6, links)
-    assert detect_fast(layer).q == pytest.approx(best_q, abs=1e-12)
+    assert run_combo(layer, "f-1").q == pytest.approx(best_q, abs=1e-12)
 
 
 def _greedy_and_oracle(layer):
@@ -147,6 +146,32 @@ _GREEDY_LINK = st.tuples(
            (3, 4, 1, None)],
     kind="unweighted",
 )
+@example(  # a stale row whose bound ties the largest exact best at a later row is
+    # recomputed before that row merges
+    n=6,
+    links=[(5, 2, 1, None), (1, 4, 1, None), (2, 0, 1, None), (4, 3, 1, None), (3, 0, 1, None)],
+    kind="unweighted",
+)
+@example(  # a stale neighbour's gain towards the survivor rises above its bound
+    n=10,
+    links=[(4, 0, 1, None), (8, 0, 1, None), (3, 9, 1, None), (7, 8, 1, None), (7, 0, 1, None),
+           (2, 1, 1, None), (8, 1, 1, None), (0, 2, 1, None), (6, 8, 1, None), (5, 0, 1, None),
+           (4, 2, 1, None), (1, 4, 1, None), (1, 6, 1, None), (8, 5, 1, None), (0, 3, 1, None),
+           (8, 7, 1, None)],
+    kind="unweighted",
+)
+@example(  # a stale neighbour's gain towards the survivor only ties its bound: it stays stale
+    n=10,
+    links=[(1, 5, 1, None), (7, 0, 1, None), (4, 3, 1, None), (1, 4, 1, None), (2, 5, 1, None),
+           (5, 4, 1, None), (9, 6, 1, None), (9, 0, 1, None), (2, 8, 1, None), (4, 0, 1, None),
+           (7, 8, 1, None), (2, 3, 1, None)],
+    kind="unweighted",
+)
+@example(  # two lone links: each merge leaves the survivor with an empty row
+    n=4,
+    links=[(0, 3, 1, None), (1, 2, 1, None)],
+    kind="unweighted",
+)
 def test_fast_greedy_equals_heap_oracle(n, links, kind):
     weight = {"unweighted": lambda k: 1.0, "integer": lambda k: 1.0 + k % 3,
               "eighths": lambda k: k / 8.0}[kind]
@@ -158,12 +183,25 @@ def test_fast_greedy_equals_heap_oracle(n, links, kind):
     assert got == expected
 
 
+# The last layer has the shape of the quarter-scale benchmark layers: 800
+# nodes and 6,832 links, whose unweighted gains tie heavily.
 @pytest.mark.parametrize(
     "groups, size, p_in, p_out, seed",
-    [(2, 30, 0.3, 0.05, 1), (4, 25, 0.2, 0.03, 2), (6, 20, 0.25, 0.04, 3), (3, 50, 0.1, 0.05, 4)],
+    [(2, 30, 0.3, 0.05, 1), (4, 25, 0.2, 0.03, 2), (6, 20, 0.25, 0.04, 3), (3, 50, 0.1, 0.05, 4),
+     (8, 100, 0.08, 0.001, 7)],
 )
 def test_fast_greedy_equals_heap_oracle_on_planted_layers(groups, size, p_in, p_out, seed):
     layer = generate_planted_partition(groups, size, p_in, p_out, seed=seed)[0].layer("links")
+    got, expected = _greedy_and_oracle(layer)
+    assert got == expected
+
+
+def test_fast_greedy_equals_heap_oracle_on_weighted_planted_layer():
+    # The 800-node planted layer above with integer weights 1-3.
+    planted = generate_planted_partition(8, 100, 0.08, 0.001, seed=7)[0].layer("links")
+    src, dst, _ = planted.metric_view()
+    weights = np.random.default_rng(7).integers(1, 4, size=len(src))
+    layer = layer_of(800, list(zip(src.tolist(), dst.tolist(), weights.tolist())), weighted=True)
     got, expected = _greedy_and_oracle(layer)
     assert got == expected
 
@@ -334,11 +372,6 @@ def test_combo_requires_seed_only_for_stochastic_stages():
         run_combo(layer, "esrfr-30")
 
 
-def test_combo_f_matches_detect_fast():
-    layer = _two_triangles()
-    assert _groups(run_combo(layer, "f-1").partition) == _groups(detect_fast(layer).partition)
-
-
 def test_combo_reposition_from_singletons_finds_triangles():
     result = run_combo(_two_triangles(), "r-1")
     assert result.group_count == 2
@@ -442,7 +475,7 @@ def test_reported_q_is_the_q_of_the_returned_partition(kind):
         )
         results = [
             run_portfolio(layer, seed=seed),
-            detect_fast(layer),
+            run_combo(layer, "f-1"),
             detect_spectral(layer, seed),
             detect_extremal(layer, seed),
             refine_reposition(layer, start),
@@ -482,7 +515,7 @@ def test_portfolio_attains_exhaustive_optimum_on_small_graphs():
 def test_detection_on_empty_layer_is_undefined():
     layer = layer_of(3, [])
     with pytest.raises(UndefinedMetricError):
-        detect_fast(layer)
+        run_combo(layer, "f-1")
     with pytest.raises(UndefinedMetricError):
         run_portfolio(layer, seed=0)
 
@@ -490,6 +523,6 @@ def test_detection_on_empty_layer_is_undefined():
 def test_isolated_node_survives_detection():
     links = [(0, 1), (1, 0), (0, 2), (2, 0)]  # n3 is isolated
     layer = layer_of(4, links)
-    result = detect_fast(layer)
+    result = run_combo(layer, "f-1")
     assert "n3" in result.partition.assignment
     assert frozenset({"n3"}) in _groups(result.partition)
