@@ -11,8 +11,8 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
   before it is merged.
 * ``s`` spectral bisection: recursive leading-eigenvector splits of the
   symmetrized modularity matrix, found by LAPACK ``eigh`` on the dense
-  matrix of a small subgraph and by ARPACK ``eigsh`` on a matrix-free
-  operator above ``_DENSE_LIMIT`` nodes.
+  matrix of a small subgraph and by ARPACK ``eigsh``, from one fixed start
+  vector, on a matrix-free operator above ``_DENSE_LIMIT`` nodes.
 * ``e`` extremal optimization: recursive bisection where the worst-fitness
   node, chosen with rank-power probability r^-tau, switches sides.
 * ``r`` reposition: single-node moves to the best neighboring (or fresh)
@@ -24,10 +24,10 @@ rows from it, r walks its rows, and s and e cut out the block of the
 subgraph they bisect.
 
 A trailing count ("-30") sets the number of independent seeded restarts of
-every stochastic stage (e and s) in the script; r and f are deterministic and
-run once per occurrence.  The directed modularity of the full layer is always
-the arbiter: internals may symmetrize, accepted splits and returned scores
-never do.
+every e stage, the only stochastic one, in the script; s, r and f are
+deterministic and run once per occurrence.  The directed modularity of the
+full layer is always the arbiter: internals may symmetrize, accepted splits
+and returned scores never do.
 """
 from __future__ import annotations
 
@@ -42,6 +42,8 @@ from .errors import ValidationError
 from .modularity import q_modularity, scaled_metric_view
 from .network import Layer, Partition, symmetric_adjacency
 
+# Only e stages restart, so the counts of "s-10" and "rsrfr-30" repeat nothing;
+# the texts stay because perfbench names its per-script metrics from them.
 DEFAULT_PORTFOLIO = ("e-1", "esrfr-30", "r-1", "f-1", "s-10", "rfr-1", "rsrfr-30")
 
 EO_TAU = 1.4
@@ -77,7 +79,7 @@ class ComboScript:
 
     @property
     def stochastic(self) -> bool:
-        return any(tag in ("e", "s") for tag in self.stages)
+        return "e" in self.stages
 
     def __str__(self) -> str:
         return "".join(self.stages) + f"-{self.repetitions}"
@@ -301,9 +303,7 @@ def _reposition(problem: _Problem, codes: np.ndarray, max_passes: int = 10_000) 
 
 
 def _bisect(
-    problem: _Problem,
-    rng: np.random.Generator,
-    split: Callable[[_Problem, np.ndarray, np.random.Generator], np.ndarray | None],
+    problem: _Problem, split: Callable[[_Problem, np.ndarray], np.ndarray | None]
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Split groups in two with ``split`` until none splits, starting from one group.
 
@@ -320,7 +320,7 @@ def _bisect(
         if len(sub) < 2:
             continue
         try:
-            sides = split(problem, sub, rng)
+            sides = split(problem, sub)
         except ArpackNoConvergence:
             flags.append(f"eigsh did not converge on a subgraph of {len(sub)} nodes")
             continue
@@ -351,10 +351,11 @@ def _split_gain(problem: _Problem, sub: np.ndarray, sides: np.ndarray) -> float:
     return -cross / m + (kout0 * kin1 + kout1 * kin0) / (m * m)
 
 
-def _leading_vector(problem: _Problem, sub: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _leading_vector(problem: _Problem, sub: np.ndarray) -> np.ndarray:
     """Eigenvector of the most positive eigenvalue of the generalized
     symmetrized modularity submatrix; raises ArpackNoConvergence when
-    ``eigsh`` does not converge."""
+    ``eigsh`` does not converge.  ``eigsh`` starts from one fixed generic
+    vector, not the all-ones one, which has eigenvalue 0 (zero row sums)."""
     s = len(sub)
     m = problem.m
     local = problem.adj[sub][:, sub]
@@ -374,26 +375,25 @@ def _leading_vector(problem: _Problem, sub: np.ndarray, rng: np.random.Generator
         return local @ vec / 2.0 - null - d * vec
 
     operator = LinearOperator((s, s), matvec=apply, dtype=np.float64)
-    return eigsh(operator, k=1, which="LA", v0=rng.standard_normal(s))[1][:, 0]
+    start = np.random.default_rng(0).standard_normal(s)
+    return eigsh(operator, k=1, which="LA", v0=start)[1][:, 0]
 
 
-def _spectral_split(
-    problem: _Problem, sub: np.ndarray, rng: np.random.Generator
-) -> np.ndarray | None:
+def _spectral_split(problem: _Problem, sub: np.ndarray) -> np.ndarray | None:
     """Sides by the sign of the leading vector, or None when the split does not raise Q.
 
     A node without links has a zero component in exact arithmetic; it goes
     to side 1, where ``>= 0.0`` puts an exact zero, whatever the rounding.
     """
-    sides = (_leading_vector(problem, sub, rng) >= 0.0).astype(np.int64)
+    sides = (_leading_vector(problem, sub) >= 0.0).astype(np.int64)
     sides[problem.k_out[sub] + problem.k_in[sub] == 0.0] = 1
     if sides.min() == sides.max() or _split_gain(problem, sub, sides) <= IMPROVE_TOL:
         return None
     return sides
 
 
-def _spectral(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
-    return _bisect(problem, rng, _spectral_split)
+def _spectral(problem: _Problem) -> tuple[np.ndarray, tuple[str, ...]]:
+    return _bisect(problem, _spectral_split)
 
 
 # -- extremal optimization -------------------------------------------------
@@ -471,7 +471,7 @@ def _eo_bisect(
 
 
 def _extremal(problem: _Problem, rng: np.random.Generator) -> tuple[np.ndarray, tuple[str, ...]]:
-    return _bisect(problem, rng, _eo_bisect)
+    return _bisect(problem, lambda problem, sub: _eo_bisect(problem, sub, rng))
 
 
 # -- public entry points ---------------------------------------------------
@@ -497,14 +497,6 @@ def _result(
     return DetectionResult(partition, q, script, seed, len(labels), flags)
 
 
-def detect_spectral(layer: Layer, seed: int) -> DetectionResult:
-    """Recursive leading-eigenvector bisection; the seed sets the ARPACK start
-    vector of subgraphs above ``_DENSE_LIMIT`` nodes."""
-    problem = _Problem(layer)
-    codes, flags = _spectral(problem, np.random.default_rng(np.random.SeedSequence(seed)))
-    return _result(problem, "s-1", seed, codes, problem.q_of(codes), flags)
-
-
 def detect_extremal(layer: Layer, seed: int) -> DetectionResult:
     """Recursive tau-EO bisection (tau = 1.4), seeded."""
     problem = _Problem(layer)
@@ -523,10 +515,10 @@ def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) 
     """Execute one combo script and return its best partition.
 
     Stages chain left to right over a current-best partition that starts as
-    all singletons: r refines it in place, f and the seeded restarts of e and
-    s propose fresh candidates that replace it only when they score a higher
+    all singletons: r refines it in place, f, s and the seeded restarts of e
+    propose fresh candidates that replace it only when they score a higher
     directed Q (ties broken toward the lexicographically smaller partition).
-    Restart k of the stage at position p draws its generator from
+    Restart k of the e stage at position p draws its generator from
     SeedSequence([seed, p, k]), so identical (layer, script, seed) triples
     reproduce identical partitions.
     """
@@ -552,16 +544,13 @@ def _combo(
             continue
         if tag == "f":
             candidates = [(_fast_greedy(problem), ())]
+        elif tag == "s":
+            candidates = [_spectral(problem)]
         else:
-            restarts = script.repetitions
-            if tag == "s" and problem.n <= _DENSE_LIMIT:
-                # Every split is then solved by eigh, which reads no generator,
-                # so further restarts would repeat the first one exactly.
-                restarts = 1
             candidates = []
-            for repeat in range(restarts):
+            for repeat in range(script.repetitions):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, position, repeat]))
-                candidates.append((_spectral if tag == "s" else _extremal)(problem, rng))
+                candidates.append(_extremal(problem, rng))
         for cand, cand_flags in candidates:
             cand_q = problem.q_of(cand)
             flags.extend(cand_flags)

@@ -138,10 +138,6 @@ class Layer:
         return len(self.src)
 
     @property
-    def total_weight(self) -> float:
-        return float(self.weight.sum())
-
-    @property
     def has_timestamps(self) -> bool:
         return self.days is not None
 
@@ -167,10 +163,6 @@ class Layer:
             else:
                 self._metric_view = (self.src[keep], self.dst[keep], self.weight[keep])
         return self._metric_view
-
-    @property
-    def metric_weight(self) -> float:
-        return float(self.metric_view()[2].sum())
 
     # -- derived copies ----------------------------------------------------
 
@@ -519,12 +511,6 @@ class Partition:
             )
         except KeyError as exc:
             raise ValidationError(f"label {exc.args[0]!r} not in partition labels") from None
-
-    def group_sizes(self) -> dict[str, int]:
-        sizes = {label: 0 for label in self.labels}
-        for label in self.assignment.values():
-            sizes[label] += 1
-        return sizes
 
 
 def apply_party_merge(raw_affiliations: Mapping[str, str], config: PartyMergeConfig) -> Partition:

@@ -167,6 +167,16 @@ def test_polarization_requires_seed_for_stochastic_portfolio(fixture_dir, capsys
     assert "--seed is required" in capsys.readouterr().err
 
 
+def test_spectral_portfolio_needs_no_seed(fixture_dir):
+    reports = []
+    for tag, seed in (("unseeded", []), ("seeded", ["--seed", "7"])):
+        out = fixture_dir / tag
+        args = ["polarization", *_base_args(fixture_dir), "--portfolio", "s-1", *seed]
+        assert main([*args, "--out", str(out)]) == 0
+        reports.append((out / "polarization.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["polarization", "group-nmi"])
 def test_negative_seed_is_an_error_without_traceback(fixture_dir, capsys, command):
     out = fixture_dir / "out"

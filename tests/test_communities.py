@@ -16,7 +16,6 @@ from polarnet.communities import (
     DEFAULT_PORTFOLIO,
     ComboScript,
     detect_extremal,
-    detect_spectral,
     refine_reposition,
     run_combo,
     run_portfolio,
@@ -64,6 +63,9 @@ def test_parse_script_defaults_to_one_repetition():
     assert str(script) == "f-1"
     assert ComboScript.parse("rfr-1") == ComboScript(("r", "f", "r"), 1)
     assert not ComboScript.parse("rfr-1").stochastic
+    # Only e stages are stochastic: s solves once from a fixed start vector.
+    assert not ComboScript.parse("s-10").stochastic
+    assert not ComboScript.parse("rsrfr-30").stochastic
 
 
 @pytest.mark.parametrize("text", ["", "x-3", "e-0", "e-x", "-5", "ef2", "E-1"])
@@ -209,7 +211,7 @@ def test_fast_greedy_equals_heap_oracle_on_weighted_planted_layer():
 def test_spectral_recovers_planted_groups():
     net, truth = generate_planted_partition(2, 12, 0.8, 0.05, seed=6)
     layer = net.layer("links")
-    result = detect_spectral(layer, seed=3)
+    result = run_combo(layer, "s-1")
     nodes = sorted(truth.assignment)
     both = partition_nmi(result.partition, truth, nodes, estimator="ml")
     assert min(both) >= 0.85
@@ -243,9 +245,7 @@ def test_sparse_leading_vector_matches_dense_eigh():
     block = sym[np.ix_(sub, sub)]
     block -= np.diag(block.sum(axis=1))
     dense_sides = np.linalg.eigh(block)[1][:, -1] >= 0.0
-    vector = communities._leading_vector(
-        communities._Problem(layer), sub, np.random.default_rng(5)
-    )
+    vector = communities._leading_vector(communities._Problem(layer), sub)
     sparse_sides = vector >= 0.0
     assert 0 < sparse_sides.sum() < len(sub)
     assert (sparse_sides == dense_sides).all() or (sparse_sides != dense_sides).all()
@@ -258,9 +258,11 @@ def test_arpack_non_convergence_is_flagged(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(communities, "eigsh", stall)
-    result = detect_spectral(layer, seed=2)
-    assert result.flags == ("eigsh did not converge on a subgraph of 600 nodes",)
-    assert result.group_count == 1
+    # An s stage solves once, so it flags once whatever the script's count.
+    for script in ("s-1", "s-10"):
+        result = run_combo(layer, script)
+        assert result.flags == ("eigsh did not converge on a subgraph of 600 nodes",)
+        assert result.group_count == 1
 
 
 def test_spectral_side_of_unlinked_node_ignores_rounding(monkeypatch):
@@ -273,38 +275,44 @@ def test_spectral_side_of_unlinked_node_ignores_rounding(monkeypatch):
     sides, codes = [], []
     for noise in (1e-17, -1e-17):
 
-        def noisy(problem, sub, rng, noise=noise):
-            vector = leading(problem, sub, rng)
+        def noisy(problem, sub, noise=noise):
+            vector = leading(problem, sub)
             vector[sub >= 6] = noise
             return vector
 
         monkeypatch.setattr(communities, "_leading_vector", noisy)
-        sides.append(communities._spectral_split(problem, np.arange(8), None).tolist())
-        codes.append(detect_spectral(layer, seed=1).partition.codes(layer.node_ids).tolist())
+        sides.append(communities._spectral_split(problem, np.arange(8)).tolist())
+        codes.append(run_combo(layer, "s-1").partition.codes(layer.node_ids).tolist())
     assert sides[0] == sides[1]
     assert sides[0][6:] == [1, 1]
     assert codes[0] == codes[1]
 
 
-def test_dense_spectral_stage_runs_one_restart(monkeypatch):
-    # eigh reads no generator, so at or below _DENSE_LIMIT nodes every
-    # restart of an s stage would repeat the first.
-    layer = generate_planted_partition(4, 40, 0.15, 0.01, seed=3)[0].layer("links")
-    once = run_combo(layer, "s-1", seed=2)
+@pytest.mark.parametrize("size", ["dense", "sparse"])
+def test_spectral_stage_solves_once(monkeypatch, size):
+    # eigh, and eigsh from its fixed start vector, make each split a function
+    # of the subgraph alone, so the count of an s-only script repeats nothing.
+    if size == "dense":
+        layer = generate_planted_partition(4, 40, 0.15, 0.01, seed=3)[0].layer("links")
+    else:
+        layer, _ = _sparse_sized_planted_layer()
+    once = run_combo(layer, "s-1")
     calls = []
     spectral = communities._spectral
 
-    def counted(problem, rng):
+    def counted(problem):
         calls.append(problem.n)
-        return spectral(problem, rng)
+        return spectral(problem)
 
     monkeypatch.setattr(communities, "_spectral", counted)
-    result = run_combo(layer, "s-10", seed=2)
-    assert calls == [160]
+    result = run_combo(layer, "s-10")
+    assert calls == [len(layer.node_ids)]
     assert result == dataclasses.replace(once, script="s-10")
-    assert round(result.q, 6) == 0.516967
-    assert result.group_count == 5
+    assert result.seed is None
     assert result.flags == ()
+    if size == "dense":
+        assert round(result.q, 6) == 0.516967
+        assert result.group_count == 5
 
 
 def test_extremal_recovers_planted_groups():
@@ -423,8 +431,9 @@ def test_portfolio_keeps_best_scoring_script():
 def test_portfolio_requires_seed_when_any_script_is_stochastic():
     layer = _two_triangles()
     with pytest.raises(ValidationError):
-        run_portfolio(layer, ("f-1", "s-1"))
+        run_portfolio(layer, ("f-1", "e-1"))
     assert run_portfolio(layer, ("f-1", "r-1")).q > 0
+    assert run_portfolio(layer, ("f-1", "s-1")).q > 0
 
 
 def test_portfolio_rejects_empty_script_list():
@@ -476,7 +485,7 @@ def test_reported_q_is_the_q_of_the_returned_partition(kind):
         results = [
             run_portfolio(layer, seed=seed),
             run_combo(layer, "f-1"),
-            detect_spectral(layer, seed),
+            run_combo(layer, "s-1"),
             detect_extremal(layer, seed),
             refine_reposition(layer, start),
         ]

@@ -51,7 +51,7 @@ def test_ingest_header_and_columns(tmp_path):
     path.write_text("source,target,weight,date\nx,y,2.5,2011-03-01\ny,x,1,2011-03-02\n")
     layer = ingest_layer(path)
     assert layer.weighted
-    assert layer.total_weight == pytest.approx(3.5)
+    assert layer.weight.sum() == pytest.approx(3.5)
     assert layer.has_timestamps
     stamps = sorted(link.timestamp for link in layer.links())
     assert stamps == [date(2011, 3, 1), date(2011, 3, 2)]
@@ -92,7 +92,7 @@ def test_ingest_weighted_duplicates_accumulate(tmp_path):
     path.write_text("source,target,weight\na,b,2\na,b,3\n")
     layer = ingest_layer(path)
     assert layer.n_links == 1
-    assert layer.total_weight == pytest.approx(5.0)
+    assert layer.weight.sum() == pytest.approx(5.0)
 
 
 def test_ingest_unweighted_duplicates_keep_earliest_date(tmp_path):
@@ -183,7 +183,7 @@ def test_self_links_kept_but_excluded_from_metric_view():
     assert layer.n_links == 3
     src, dst, w = layer.metric_view()
     assert len(src) == 2
-    assert layer.metric_weight == pytest.approx(2.0)
+    assert w.sum() == pytest.approx(2.0)
     assert (0, 0) not in set(zip(src.tolist(), dst.tolist()))
 
 
@@ -346,7 +346,6 @@ def test_partition_validation():
         Partition.from_assignment({"a": "x"}, labels=("y",))
     part = Partition.from_assignment({"a": "x", "b": "y"})
     assert part.labels == ("x", "y")
-    assert part.group_sizes() == {"x": 1, "y": 1}
     with pytest.raises(ValidationError):
         part.label_of("zzz")
 
