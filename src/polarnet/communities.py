@@ -18,10 +18,11 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
 * ``r`` reposition: single-node moves to the best neighboring (or fresh)
   group until a full pass yields no improvement; never decreases Q.
 
-Every stage reads one undirected view of the layer, the CSR matrix of
-w(i->j) + w(j->i) from ``network.symmetric_adjacency``: f seeds its merge
-rows from it, r walks its rows, and s and e cut out the block of the
-subgraph they bisect.
+Every stage reads one ``_Problem``: the layer's ``modularity.ScaledLayer``
+(m and the node strengths; its ``q`` scores every candidate) and one
+undirected view, the CSR matrix of w(i->j) + w(j->i) from
+``network.symmetric_adjacency``: f seeds its merge rows from it, r walks its
+rows, and s and e cut out the block of the subgraph they bisect.
 
 A trailing count ("-30") sets the number of independent seeded restarts of
 every e stage, the only stochastic one, in the script; s, r and f are
@@ -39,7 +40,8 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ValidationError
-from .modularity import q_modularity, scaled_metric_view
+# q_modularity is not called here; it stays bound because perfbench's tracer wraps it.
+from .modularity import ScaledLayer, q_modularity
 from .network import Layer, Partition, symmetric_adjacency
 
 # Only e stages restart, so the counts of "s-10" and "rsrfr-30" repeat nothing;
@@ -97,24 +99,18 @@ class DetectionResult:
     flags: tuple[str, ...] = ()
 
 
-class _Problem:
-    """Degrees, total weight and the symmetrized adjacency of one layer, all
-    in the weights of ``scaled_metric_view``.
+class _Problem(ScaledLayer):
+    """The ``ScaledLayer`` of one layer plus the layer and its symmetrized
+    adjacency, in the same scaled weights.
 
     ``adj`` is the n×n CSR matrix with w(i->j) + w(j->i) at (i, j) and
     (j, i), columns sorted; every detection stage reads neighbours from it.
     """
 
     def __init__(self, layer: Layer):
-        src, dst, w, self.m, _ = scaled_metric_view(layer)
+        super().__init__(layer)
         self.layer = layer
-        self.n = len(layer.node_ids)
-        self.k_out = np.bincount(src, weights=w, minlength=self.n)
-        self.k_in = np.bincount(dst, weights=w, minlength=self.n)
-        self.adj = symmetric_adjacency(self.n, src, dst, w)
-
-    def q_of(self, codes: np.ndarray) -> float:
-        return q_modularity(self.layer, None, codes=codes)
+        self.adj = symmetric_adjacency(self.n, self.src, self.dst, self.w)
 
 
 def _canonical(codes: np.ndarray) -> np.ndarray:
@@ -497,18 +493,11 @@ def _result(
     return DetectionResult(partition, q, script, seed, len(labels), flags)
 
 
-def detect_extremal(layer: Layer, seed: int) -> DetectionResult:
-    """Recursive tau-EO bisection (tau = 1.4), seeded."""
-    problem = _Problem(layer)
-    codes, flags = _extremal(problem, np.random.default_rng(np.random.SeedSequence(seed)))
-    return _result(problem, "e-1", seed, codes, problem.q_of(codes), flags)
-
-
 def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
     """Single-node move refinement of a starting partition; Q never drops."""
     problem = _Problem(layer)
     codes = _reposition(problem, start.codes(layer.node_ids))
-    return _result(problem, "r-1", None, codes, problem.q_of(codes))
+    return _result(problem, "r-1", None, codes, problem.q(codes))
 
 
 def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) -> DetectionResult:
@@ -520,13 +509,15 @@ def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) 
     directed Q (ties broken toward the lexicographically smaller partition).
     Restart k of the e stage at position p draws its generator from
     SeedSequence([seed, p, k]), so identical (layer, script, seed) triples
-    reproduce identical partitions.
+    reproduce identical partitions.  A script without an e stage reads no
+    seed, and its result reports None.
     """
     if isinstance(script, str):
         script = ComboScript.parse(script)
     if script.stochastic and seed is None:
         raise ValidationError(f"script {script} has stochastic stages and needs a seed")
     problem = _Problem(layer)
+    seed = seed if script.stochastic else None
     return _result(problem, str(script), seed, *_combo(problem, script, seed))
 
 
@@ -535,12 +526,12 @@ def _combo(
 ) -> tuple[np.ndarray, float, tuple[str, ...]]:
     """(canonical codes, their directed Q, non-convergence flags) of one script."""
     codes = np.arange(problem.n, dtype=np.int64)
-    q = problem.q_of(codes)
+    q = problem.q(codes)
     flags: list[str] = []
     for position, tag in enumerate(script.stages):
         if tag == "r":
             codes = _reposition(problem, codes)
-            q = problem.q_of(codes)
+            q = problem.q(codes)
             continue
         if tag == "f":
             candidates = [(_fast_greedy(problem), ())]
@@ -552,7 +543,7 @@ def _combo(
                 rng = np.random.default_rng(np.random.SeedSequence([seed, position, repeat]))
                 candidates.append(_extremal(problem, rng))
         for cand, cand_flags in candidates:
-            cand_q = problem.q_of(cand)
+            cand_q = problem.q(cand)
             flags.extend(cand_flags)
             if _better(cand_q, cand, q, codes):
                 codes, q = cand, cand_q

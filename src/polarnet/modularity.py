@@ -4,9 +4,10 @@ Both scores compare realized link weight against the directed configuration
 null model k_out_i * k_in_j / m.  Self-links never enter the sums: they are
 dropped from the adjacency term, from the degrees and from m.  The null-model
 sum over a group does include the i = j degree products, which is what makes
-the single-group score exactly zero and the group decomposition exact.  Both
-read the weights through ``scaled_metric_view``, so that no product of
-weights underflows or overflows.
+the single-group score exactly zero and the group decomposition exact.  Q,
+its leave-one-out replicates, demodularity and detection all read one
+``ScaledLayer``: the weights scaled so that no product of them underflows or
+overflows, m, the node strengths and the group sums.
 """
 from __future__ import annotations
 
@@ -26,20 +27,44 @@ POLARIZATION_THRESHOLD = 0.3
 NORMALIZATIONS = ("out_weight", "link_count", "total_m")
 
 
-def scaled_metric_view(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """(src, dst, weight, m, e): the metric view with every weight scaled by 2^-e,
-    where e is the exponent that puts the scaled m in [0.5, 1).
+class ScaledLayer:
+    """The metric view of one layer with every weight scaled by 2^-e, where e
+    is the exponent that puts the scaled m in [0.5, 1), and its per-node
+    strengths ``k_out`` and ``k_in`` in the same weights.
 
     Degree products and m * m then stay in the float range for any finite
     positive weights.  Scaling by a power of two is exact, so Q, every ratio
     of weight sums and every detection step keep their bits.
     """
-    src, dst, w = layer.metric_view()
-    m = float(w.sum())
-    if m <= 0.0:
-        raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
-    e = math.frexp(m)[1]
-    return src, dst, np.ldexp(w, -e), math.ldexp(m, -e), e
+
+    def __init__(self, layer: Layer):
+        self.src, self.dst, w = layer.metric_view()
+        m = float(w.sum())
+        if m <= 0.0:
+            raise UndefinedMetricError(f"layer {layer.name!r} has no non-self links")
+        self.e = math.frexp(m)[1]
+        self.w, self.m = np.ldexp(w, -self.e), math.ldexp(m, -self.e)
+        self.n = len(layer.node_ids)
+        self.k_out = np.bincount(self.src, weights=self.w, minlength=self.n)
+        self.k_in = np.bincount(self.dst, weights=self.w, minlength=self.n)
+
+    def group_sums(self, codes: np.ndarray, groups: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """(intra-group weight, K_out, K_in) of the groups 0..groups-1 in ``codes``."""
+        src, dst, w = self.src, self.dst, self.w
+        intra = float(w[codes[src] == codes[dst]].sum())
+        k_out = np.bincount(codes[src], weights=w, minlength=groups)
+        k_in = np.bincount(codes[dst], weights=w, minlength=groups)
+        return intra, k_out, k_in
+
+    def q(self, codes: np.ndarray, groups: int | None = None) -> float:
+        """Directed Q of ``codes``; ``groups`` defaults to max(codes) + 1."""
+        if groups is None:
+            groups = int(codes.max()) + 1 if len(codes) else 1
+        intra, k_out, k_in = self.group_sums(codes, groups)
+        q = (intra - float(k_out @ k_in) / self.m) / self.m
+        if not (-1.0 - 1e-9 <= q <= 1.0 + 1e-9):
+            raise InternalConsistencyError(f"modularity {q!r} outside [-1, 1]")
+        return float(q)
 
 
 def q_modularity(
@@ -54,22 +79,12 @@ def q_modularity(
     with ``partition.labels``) to skip the per-node label lookups; with codes
     supplied the partition itself may be None, and the groups are 0..max(codes).
     """
-    src, dst, w, m, _ = scaled_metric_view(layer)
+    view = ScaledLayer(layer)
     if codes is None:
         if partition is None:
             raise ValidationError("need a partition or precomputed codes")
         codes = partition.codes(layer.node_ids)
-    if partition is not None:
-        groups = len(partition.labels)
-    else:
-        groups = int(codes.max()) + 1 if len(codes) else 1
-    w_in = float(w[codes[src] == codes[dst]].sum())
-    k_out = np.bincount(codes[src], weights=w, minlength=groups)
-    k_in = np.bincount(codes[dst], weights=w, minlength=groups)
-    q = (w_in - float(k_out @ k_in) / m) / m
-    if not (-1.0 - 1e-9 <= q <= 1.0 + 1e-9):
-        raise InternalConsistencyError(f"modularity {q!r} outside [-1, 1]")
-    return float(q)
+    return view.q(codes, len(partition.labels) if partition is not None else None)
 
 
 def leave_one_out_q(layer: Layer, codes: np.ndarray, nodes: Sequence[int]) -> list[float | None]:
@@ -83,20 +98,17 @@ def leave_one_out_q(layer: Layer, codes: np.ndarray, nodes: Sequence[int]) -> li
     subtractions lose about log2(m / m') bits, so a replicate that keeps less
     than 1/256 of the weight is computed from its remaining links instead.
     """
-    src, dst, w, m, _ = scaled_metric_view(layer)
+    view = ScaledLayer(layer)
+    src, dst, w, m, size = view.src, view.dst, view.w, view.m, view.n
     groups = int(codes.max()) + 1 if len(codes) else 1
-    size = len(layer.node_ids)
     nodes = np.asarray(nodes, dtype=np.int64)
     links_left = len(src) - (np.bincount(src, minlength=size) + np.bincount(dst, minlength=size))[nodes]
-    s_out = np.bincount(src, weights=w, minlength=size)[nodes]
-    s_in = np.bincount(dst, weights=w, minlength=size)[nodes]
+    s_out, s_in = view.k_out[nodes], view.k_in[nodes]
     m_left = m - s_out - s_in
     closed = (links_left > 0) & (m_left * 256.0 >= m)
     w_out = csr_matrix((w, (src, codes[dst])), shape=(size, groups))
     w_in = csr_matrix((w, (dst, codes[src])), shape=(size, groups))
-    intra = float(w[codes[src] == codes[dst]].sum())
-    k_out = np.bincount(codes[src], weights=w, minlength=groups)
-    k_in = np.bincount(codes[dst], weights=w, minlength=groups)
+    intra, k_out, k_in = view.group_sums(codes, groups)
     q = np.full(len(nodes), np.nan)
     # Dense per-node group vectors, at most 2^20 values per block.
     step = max(1, (1 << 20) // groups)
@@ -129,14 +141,14 @@ def classify_polarization(q: float) -> str:
 
 
 def _group_normalizers(
-    src: np.ndarray, w: np.ndarray, m: float, codes: np.ndarray, groups: int, normalization: str
+    view: ScaledLayer, codes: np.ndarray, groups: int, normalization: str
 ) -> np.ndarray:
     if normalization == "out_weight":
-        return np.bincount(codes[src], weights=w, minlength=groups)
+        return np.bincount(codes[view.src], weights=view.w, minlength=groups)
     if normalization == "link_count":
-        return np.bincount(codes[src], minlength=groups).astype(np.float64)
+        return np.bincount(codes[view.src], minlength=groups).astype(np.float64)
     if normalization == "total_m":
-        return np.full(groups, m)
+        return np.full(groups, view.m)
     raise ValidationError(f"unknown normalization {normalization!r}")
 
 
@@ -202,17 +214,15 @@ def demodularity_matrix(
     """Compute every ordered (from, to) demodularity entry in one pass."""
     if len(partition.labels) < 2:
         raise ValidationError("demodularity needs at least two groups")
-    src, dst, w, m, e = scaled_metric_view(layer)
+    view = ScaledLayer(layer)
     codes = partition.codes(layer.node_ids)
     groups = len(partition.labels)
     cross = np.zeros((groups, groups))
-    np.add.at(cross, (codes[src], codes[dst]), w)
-    k_out = np.bincount(src, weights=w, minlength=len(layer.node_ids))
-    k_in = np.bincount(dst, weights=w, minlength=len(layer.node_ids))
-    k_out_g = np.bincount(codes, weights=k_out, minlength=groups)
-    k_in_g = np.bincount(codes, weights=k_in, minlength=groups)
-    raw = cross - np.outer(k_out_g, k_in_g) / m
-    norms = _group_normalizers(src, w, m, codes, groups, normalization)
+    np.add.at(cross, (codes[view.src], codes[view.dst]), view.w)
+    k_out_g = np.bincount(codes, weights=view.k_out, minlength=groups)
+    k_in_g = np.bincount(codes, weights=view.k_in, minlength=groups)
+    raw = cross - np.outer(k_out_g, k_in_g) / view.m
+    norms = _group_normalizers(view, codes, groups, normalization)
     values = np.full((groups, groups), np.nan)
     undefined = []
     for f in range(groups):
@@ -222,7 +232,7 @@ def demodularity_matrix(
         values[f, :] = raw[f, :] / norms[f]
     if normalization == "link_count":
         # Weight per link: undo the scaling, which the weight normalizers cancel.
-        values = np.ldexp(values, e)
+        values = np.ldexp(values, view.e)
     np.fill_diagonal(values, np.nan)
     return DemodularityMatrix(partition.labels, values, tuple(undefined), normalization)
 
@@ -234,15 +244,14 @@ def decomposition_residual(layer: Layer, partition: Partition) -> float:
     back to plain cross-group sums.
     """
     matrix = demodularity_matrix(layer, partition, normalization="out_weight")
-    src, dst, w = layer.metric_view()
-    m = float(w.sum())
+    view = ScaledLayer(layer)
     codes = partition.codes(layer.node_ids)
     groups = len(partition.labels)
-    norms = _group_normalizers(src, w, m, codes, groups, "out_weight")
-    total = m * q_modularity(layer, partition)
+    norms = _group_normalizers(view, codes, groups, "out_weight")
+    total = view.m * view.q(codes, groups)
     for f in range(groups):
         for t in range(groups):
             if f == t or np.isnan(matrix.values[f, t]):
                 continue
             total += norms[f] * matrix.values[f, t]
-    return float(total)
+    return math.ldexp(total, view.e)

@@ -15,7 +15,6 @@ from polarnet import communities
 from polarnet.communities import (
     DEFAULT_PORTFOLIO,
     ComboScript,
-    detect_extremal,
     refine_reposition,
     run_combo,
     run_portfolio,
@@ -318,7 +317,7 @@ def test_spectral_stage_solves_once(monkeypatch, size):
 def test_extremal_recovers_planted_groups():
     net, truth = generate_planted_partition(2, 12, 0.8, 0.05, seed=6)
     layer = net.layer("links")
-    result = detect_extremal(layer, seed=3)
+    result = run_combo(layer, "e-1", seed=3)
     nodes = sorted(truth.assignment)
     both = partition_nmi(result.partition, truth, nodes, estimator="ml")
     assert min(both) >= 0.85
@@ -395,6 +394,17 @@ def test_combo_is_deterministic_for_fixed_seed():
     assert a.q == b.q
     assert a.seed == 42
     assert a.script == "esrfr-5"
+
+
+def test_combo_without_e_stage_reports_no_seed():
+    # Only e stages read the seed; a script without one matches run_portfolio's None.
+    layer = generate_planted_partition(2, 10, 0.6, 0.05, seed=4)[0].layer("links")
+    for script in ("s-10", "f-1", "r-1", "rsrfr-30"):
+        result = run_combo(layer, script, 1004)
+        assert result.seed is None, script
+        assert result == run_combo(layer, script)
+        assert result.seed == run_portfolio(layer, (script,), seed=1004).seed
+    assert run_combo(layer, "esrfr-2", 1004).seed == 1004
 
 
 def test_combo_never_returns_worse_than_singletons():
@@ -486,7 +496,6 @@ def test_reported_q_is_the_q_of_the_returned_partition(kind):
             run_portfolio(layer, seed=seed),
             run_combo(layer, "f-1"),
             run_combo(layer, "s-1"),
-            detect_extremal(layer, seed),
             refine_reposition(layer, start),
         ]
         results += [run_combo(layer, script, seed) for script in DEFAULT_PORTFOLIO]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from helpers import layer_of
 from polarnet.communities import run_combo
 from polarnet.infometrics import LinkIndicatorPair
-from polarnet.modularity import NORMALIZATIONS, demodularity_matrix, q_modularity
+from polarnet.modularity import NORMALIZATIONS, demodularity_matrix, leave_one_out_q, q_modularity
 from polarnet.network import Partition
 
 _LABELS = ("g0", "g1", "g2")
@@ -113,6 +113,12 @@ def test_weights_scaled_by_a_power_of_two_give_bit_identical_scores(case, k):
     scaled = layer_of(n, [(s, t, math.ldexp(w, k), d) for s, t, w, d in rows], weighted=True)
     partition = _partition([f"n{i}" for i in range(n)], codes)
     assert q_modularity(scaled, partition).hex() == q_modularity(layer, partition).hex()
+    group_codes, nodes = np.array(codes, dtype=np.int64), range(n)
+    replicates = leave_one_out_q(layer, group_codes, nodes)
+    again = leave_one_out_q(scaled, group_codes, nodes)
+    assert [None if q is None else q.hex() for q in again] == [
+        None if q is None else q.hex() for q in replicates
+    ]
     for norm in NORMALIZATIONS:
         values = demodularity_matrix(layer, partition, normalization=norm).values
         expected = np.ldexp(values, k) if norm == "link_count" else values
