@@ -13,8 +13,11 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
   symmetrized modularity matrix, found by LAPACK ``eigh`` on the dense
   matrix of a small subgraph and by ARPACK ``eigsh``, from one fixed start
   vector, on a matrix-free operator above ``_DENSE_LIMIT`` nodes.
-* ``e`` extremal optimization: recursive bisection where the worst-fitness
-  node, chosen with rank-power probability r^-tau, switches sides.
+* ``e`` extremal optimization: recursive bisection where a low-fitness node
+  switches sides.  Each move first draws a rank r with probability
+  proportional to r^-tau, then flips the node that a stable sort of the
+  fitness puts at rank r (ties in index order), found by selection in O(s)
+  for a subgraph of s nodes, without sorting.
 * ``r`` reposition: single-node moves to the best neighboring (or fresh)
   group until a full pass yields no improvement; never decreases Q.
 
@@ -33,6 +36,7 @@ and returned scores never do.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -395,10 +399,29 @@ def _spectral(problem: _Problem) -> tuple[np.ndarray, tuple[str, ...]]:
 # -- extremal optimization -------------------------------------------------
 
 
+def _at_stable_rank(values: np.ndarray, rank: int) -> int:
+    """The index that ``np.argsort(values, kind="stable")`` puts at ``rank``, in O(s).
+
+    Equal values keep index order, so the pick is the (rank - #smaller)-th
+    index holding the rank-th smallest value; ``values`` holds no NaN.
+    """
+    if rank == 0:
+        return int(values.argmin())
+    value = np.partition(values, rank)[rank]
+    ties = (values == value).nonzero()[0]
+    if len(ties) == 1:
+        return int(ties[0])
+    return int(ties[rank - np.count_nonzero(values < value)])
+
+
 def _eo_bisect(
     problem: _Problem, sub: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray | None:
-    """One tau-EO bisection of ``sub``; returns sides or None when no split helps."""
+    """One tau-EO bisection of ``sub``; returns sides or None when no split helps.
+
+    Each move draws a rank, then flips the node that a stable sort of the
+    fitness would put at that rank.
+    """
     s = len(sub)
     m = problem.m
     local = problem.adj[sub][:, sub]
@@ -413,9 +436,16 @@ def _eo_bisect(
     for i in range(s):
         mask = sides[local_nbr[i]] == sides[i]
         wsym_same[i] = local_wb[i][mask].sum() / 2.0
-    agg_out = np.array([kout[sides == 0].sum(), kout[sides == 1].sum()])
-    agg_in = np.array([kin[sides == 0].sum(), kin[sides == 1].sum()])
+    agg_out = [float(kout[sides == 0].sum()), float(kout[sides == 1].sum())]
+    agg_in = [float(kin[sides == 0].sum()), float(kin[sides == 1].sum())]
     cross = float((1 - sides) @ (local @ sides))
+    # Python mirrors of the state that each move touches node by node.
+    side_of = sides.tolist()
+    same_of = wsym_same.tolist()
+    kout_of = kout.tolist()
+    kin_of = kin.tolist()
+    nbr_of = [nbr.tolist() for nbr in local_nbr]
+    wb_of = [wb.tolist() for wb in local_wb]
 
     def split_gain() -> float:
         return -cross / m + (agg_out[0] * agg_in[1] + agg_out[1] * agg_in[0]) / (m * m)
@@ -423,36 +453,57 @@ def _eo_bisect(
     best_gain = split_gain()
     best_sides = sides.copy()
     ranks = np.arange(1, s + 1, dtype=np.float64) ** (-EO_TAU)
-    cumulative = np.cumsum(ranks / ranks.sum())
+    cumulative = np.cumsum(ranks / ranks.sum()).tolist()
     moves = min(max(48, 8 * s), 4096)
     patience = max(24, 2 * s)
     stale = 0
     guard = np.where(ksym > 0.0, ksym, 1.0)
+    isolated = np.flatnonzero(ksym == 0.0)  # fitness inf: sorted after every linked node
+    two_m = 2.0 * m
+    # Row 0 carries the in-strength terms of the null model, row 1 the out-strength ones:
+    # null = (kout * (agg_in[sides] - kin) + kin * (agg_out[sides] - kout)) / (2m).
+    totals = np.empty((2, 2))
+    own = np.stack([kin, kout])
+    other = np.stack([kout, kin])
+    terms = np.empty((2, s))
+    in_terms, out_terms = terms
+    null = np.empty(s)
+    fitness = np.empty(s)
     for _ in range(moves):
         if stale >= patience:
             break
-        null = (kout * (agg_in[sides] - kin) + kin * (agg_out[sides] - kout)) / (2.0 * m)
-        fitness = (wsym_same - null) / guard
-        fitness[ksym == 0.0] = np.inf  # isolated nodes never move
-        order = np.argsort(fitness, kind="stable")
-        rank = min(int(np.searchsorted(cumulative, rng.random(), side="right")), s - 1)
-        pick = order[rank]
-        old = int(sides[pick])
+        rank = min(bisect_right(cumulative, rng.random()), s - 1)
+        totals[0, 0], totals[0, 1] = agg_in
+        totals[1, 0], totals[1, 1] = agg_out
+        totals.take(sides, axis=1, out=terms)
+        np.subtract(terms, own, out=terms)
+        np.multiply(other, terms, out=terms)
+        np.add(in_terms, out_terms, out=null)
+        np.divide(null, two_m, out=null)
+        np.subtract(wsym_same, null, out=fitness)
+        np.divide(fitness, guard, out=fitness)
+        if len(isolated):
+            fitness[isolated] = np.inf
+        pick = _at_stable_rank(fitness, rank)
+        old = side_of[pick]
         new = 1 - old
+        side_of[pick] = new
         sides[pick] = new
-        agg_out[old] -= kout[pick]
-        agg_in[old] -= kin[pick]
-        agg_out[new] += kout[pick]
-        agg_in[new] += kin[pick]
+        agg_out[old] -= kout_of[pick]
+        agg_in[old] -= kin_of[pick]
+        agg_out[new] += kout_of[pick]
+        agg_in[new] += kin_of[pick]
         same = 0.0
-        for j, wb in zip(local_nbr[pick].tolist(), local_wb[pick].tolist()):
-            if sides[j] == new:
-                wsym_same[j] += wb / 2.0
+        for j, wb in zip(nbr_of[pick], wb_of[pick]):
+            if side_of[j] == new:
+                same_of[j] += wb / 2.0
                 cross -= wb
                 same += wb / 2.0
             else:
-                wsym_same[j] -= wb / 2.0
+                same_of[j] -= wb / 2.0
                 cross += wb
+            wsym_same[j] = same_of[j]
+        same_of[pick] = same
         wsym_same[pick] = same
         gain = split_gain()
         if gain > best_gain + IMPROVE_TOL:

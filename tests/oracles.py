@@ -5,8 +5,9 @@ over explicit link lists -- and deliberately shares no code with the package.
 Where both routes encode a documented convention (for instance that the
 modularity null model sums over every ordered node pair including i = j),
 the convention is restated in the oracle's docstring.  The ``*_reference``
-functions are the exception: they keep a replaced numpy path verbatim, so a
-test can demand bit-identical results from its successor.
+functions and ``eo_bisect_oracle`` are the exception: they keep a replaced
+numpy path verbatim, so a test can demand bit-identical results from its
+successor.
 """
 from __future__ import annotations
 
@@ -525,3 +526,79 @@ def nmi_reference(table, respect_to: str, estimator: str) -> float:
     if h <= 0.0:
         raise ZeroDivisionError("normalizing margin has zero entropy")
     return mutual_information_reference(table, estimator)[1] / h
+
+
+def eo_bisect_oracle(problem, sub, rng, *, tau: float = 1.4, tol: float = 1e-12):
+    """One tau-EO bisection of ``sub`` that stable-sorts the fitness on every move.
+
+    ``problem`` supplies ``adj`` (the symmetrized CSR adjacency), ``k_out``,
+    ``k_in`` and ``m``.  Each move flips the node at a rank drawn with
+    probability proportional to rank^-tau from the stable ascending order of
+    fitness; isolated nodes have fitness inf and never move.  Returns the
+    best 0/1 sides seen, or None when no split raises Q by more than ``tol``.
+    """
+    s = len(sub)
+    m = problem.m
+    local = problem.adj[sub][:, sub]
+    kout = problem.k_out[sub]
+    kin = problem.k_in[sub]
+    bounds = list(zip(local.indptr.tolist(), local.indptr[1:].tolist()))
+    local_nbr = [local.indices[lo:hi] for lo, hi in bounds]
+    local_wb = [local.data[lo:hi] for lo, hi in bounds]
+    ksym = np.array([wb.sum() for wb in local_wb])
+    sides = rng.integers(0, 2, size=s).astype(np.int64)
+    wsym_same = np.zeros(s)
+    for i in range(s):
+        mask = sides[local_nbr[i]] == sides[i]
+        wsym_same[i] = local_wb[i][mask].sum() / 2.0
+    agg_out = np.array([kout[sides == 0].sum(), kout[sides == 1].sum()])
+    agg_in = np.array([kin[sides == 0].sum(), kin[sides == 1].sum()])
+    cross = float((1 - sides) @ (local @ sides))
+
+    def split_gain() -> float:
+        return -cross / m + (agg_out[0] * agg_in[1] + agg_out[1] * agg_in[0]) / (m * m)
+
+    best_gain = split_gain()
+    best_sides = sides.copy()
+    ranks = np.arange(1, s + 1, dtype=np.float64) ** (-tau)
+    cumulative = np.cumsum(ranks / ranks.sum())
+    moves = min(max(48, 8 * s), 4096)
+    patience = max(24, 2 * s)
+    stale = 0
+    guard = np.where(ksym > 0.0, ksym, 1.0)
+    for _ in range(moves):
+        if stale >= patience:
+            break
+        null = (kout * (agg_in[sides] - kin) + kin * (agg_out[sides] - kout)) / (2.0 * m)
+        fitness = (wsym_same - null) / guard
+        fitness[ksym == 0.0] = np.inf
+        order = np.argsort(fitness, kind="stable")
+        rank = min(int(np.searchsorted(cumulative, rng.random(), side="right")), s - 1)
+        pick = order[rank]
+        old = int(sides[pick])
+        new = 1 - old
+        sides[pick] = new
+        agg_out[old] -= kout[pick]
+        agg_in[old] -= kin[pick]
+        agg_out[new] += kout[pick]
+        agg_in[new] += kin[pick]
+        same = 0.0
+        for j, wb in zip(local_nbr[pick].tolist(), local_wb[pick].tolist()):
+            if sides[j] == new:
+                wsym_same[j] += wb / 2.0
+                cross -= wb
+                same += wb / 2.0
+            else:
+                wsym_same[j] -= wb / 2.0
+                cross += wb
+        wsym_same[pick] = same
+        gain = split_gain()
+        if gain > best_gain + tol:
+            best_gain = gain
+            best_sides = sides.copy()
+            stale = 0
+        else:
+            stale += 1
+    if best_gain > tol and 0 < best_sides.sum() < s:
+        return best_sides
+    return None

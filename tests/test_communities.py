@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import layer_of, random_digraph
-from oracles import best_partition_oracle, fast_greedy_oracle
+from oracles import best_partition_oracle, eo_bisect_oracle, fast_greedy_oracle
 from polarnet import communities
 from polarnet.communities import (
     DEFAULT_PORTFOLIO,
@@ -324,6 +324,98 @@ def test_extremal_recovers_planted_groups():
     assert result.q >= 0.3
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_stable_rank_pick_equals_stable_argsort(seed):
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(1, 40))
+    values = rng.integers(0, 4, size=s) / 4.0  # few distinct values: long runs of ties
+    values[rng.random(s) < 0.2] = np.inf
+    values[rng.random(s) < 0.1] = -0.0
+    order = np.argsort(values, kind="stable")
+    assert [communities._at_stable_rank(values, r) for r in range(s)] == order.tolist()
+
+
+def _eo_same_as_oracle(layer, sub, seeds):
+    """Assert that _eo_bisect and the sorting oracle return the same sides for
+    identically seeded generators; returns the sides per seed."""
+    problem = communities._Problem(layer)
+    sides = []
+    for seed in seeds:
+        got = communities._eo_bisect(problem, sub, np.random.default_rng(seed))
+        expected = eo_bisect_oracle(
+            problem, sub, np.random.default_rng(seed),
+            tau=communities.EO_TAU, tol=communities.IMPROVE_TOL,
+        )
+        assert (got is None) == (expected is None), seed
+        if got is not None:
+            assert got.tolist() == expected.tolist(), seed
+        sides.append(got)
+    return sides
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_eo_bisect_equals_sorting_oracle_on_random_digraphs(weighted):
+    rng = np.random.default_rng(47)
+    splits = 0
+    for _ in range(12):
+        n = int(rng.integers(4, 36))
+        links = random_digraph(rng, n, float(rng.uniform(0.05, 0.3)), weighted=weighted)
+        if not links:
+            continue
+        layer = layer_of(n, links, weighted=weighted)
+        subset = np.flatnonzero(rng.random(n) < 0.6)  # a proper subset, sorted
+        for sub in (np.arange(n), subset):
+            if len(sub) >= 2:
+                sides = _eo_same_as_oracle(layer, sub, range(4))
+                splits += sum(x is not None for x in sides)
+    assert splits > 0
+
+
+def test_eo_bisect_equals_sorting_oracle_with_isolated_nodes():
+    # n6 and n7 have no links; inside the subset, n5 loses its only neighbour n4.
+    # Their fitness is inf, so they tie at the last ranks.
+    layer = layer_of(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (2, 3), (4, 5)])
+    for sub in (np.arange(8), np.array([0, 1, 2, 3, 5, 6, 7])):
+        _eo_same_as_oracle(layer, sub, range(30))
+
+
+@pytest.mark.parametrize(
+    "n, links",
+    [
+        (24, [(i, (i + 1) % 24) for i in range(24)]),  # directed ring
+        (9, [(a, b) for a in range(4) for b in range(4, 9)]),  # complete bipartite K(4,5)
+        (12, [(i, j) for i in range(12) for j in range(12) if i != j]),  # complete digraph
+    ],
+)
+def test_eo_bisect_equals_sorting_oracle_on_degree_regular_graphs(n, links):
+    # Equal degrees make many fitness values tie exactly, at ranks above 0 too.
+    layer = layer_of(n, links)
+    _eo_same_as_oracle(layer, np.arange(n), range(10))
+    _eo_same_as_oracle(layer, np.arange(1, n, 2), range(5))
+
+
+def test_combo_with_eo_stage_equals_sorting_oracle_path(monkeypatch):
+    rng = np.random.default_rng(53)
+    layers = [
+        generate_planted_partition(3, 15, 0.3, 0.05, seed=2)[0].layer("links"),
+        layer_of(20, random_digraph(rng, 18, 0.15, weighted=True), weighted=True),
+    ]
+
+    def sorting(problem, sub, gen):
+        return eo_bisect_oracle(
+            problem, sub, gen, tau=communities.EO_TAU, tol=communities.IMPROVE_TOL
+        )
+
+    for layer in layers:
+        for seed in (0, 7):
+            fast = run_combo(layer, "esrfr-3", seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(communities, "_eo_bisect", sorting)
+                slow = run_combo(layer, "esrfr-3", seed)
+            assert fast.partition.assignment == slow.partition.assignment
+            assert fast.q.hex() == slow.q.hex()
+
+
 def test_reposition_never_decreases_q():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -528,6 +620,23 @@ def test_portfolio_attains_exhaustive_optimum_on_small_graphs():
         if got.q == pytest.approx(best_q, abs=1e-12):
             found += 1
     assert found >= 4  # the portfolio should almost always reach it
+
+
+# A 9-node graph on which one benchmark run reported the default portfolio at
+# Q 0.213296, short of the exhaustive optimum 0.218837, at seed 693243277.
+_NINE_NODE_LINKS = [
+    (0, 7), (1, 3), (1, 4), (2, 5), (2, 6), (3, 5), (3, 7), (4, 6), (4, 8), (5, 2),
+    (5, 4), (6, 4), (7, 0), (7, 8), (8, 2), (8, 3), (8, 4), (8, 5), (8, 7),
+]
+
+
+@pytest.mark.parametrize("seed", [693243277, *range(20)])
+def test_portfolio_reaches_exhaustive_optimum_on_nine_node_graph(seed):
+    links = [(s, t, 1.0) for s, t in _NINE_NODE_LINKS]
+    best_q, _ = best_partition_oracle(9, links)
+    assert round(best_q, 6) == 0.218837
+    got = run_portfolio(layer_of(9, links), DEFAULT_PORTFOLIO, seed)
+    assert got.q == pytest.approx(best_q, abs=1e-12)
 
 
 def test_detection_on_empty_layer_is_undefined():
