@@ -11,6 +11,15 @@ Randomness derives from the single ``--seed`` through a fixed split scheme,
 included, 1 = excluded) runs the portfolio with ``derive_seed(seed, i, v)``,
 and the portfolio gives its script ``j`` ``derive_seed(that, j)``.  Partial
 reruns therefore match full runs.
+
+Commands that share an output directory share work through ``store``: each
+parsed layer and each detection is kept there as a hidden
+``.polarnet-<kind>-<key>.npz`` file keyed by its content (the layer file's
+bytes; the layer, scripts and derived seed of a detection) and by a digest
+of the package's sources.  A later command reuses it instead of parsing or
+detecting again, so ``group-nmi`` after ``polarization`` detects nothing
+anew.  Reports are the same bytes either way, and deleting the hidden files
+is always safe.
 """
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import store
 from .communities import DEFAULT_PORTFOLIO, ComboScript, DetectionResult, derive_seed, run_portfolio
 from .errors import PolarnetError, ValidationError
 from .ideology import demod_distance_analysis, read_positions
@@ -114,7 +124,11 @@ def _load_run(args: argparse.Namespace, *, need_partition: bool, min_layers: int
         raise ValidationError(
             f"this command needs at least {min_layers} --layer NAME=PATH argument(s)"
         )
-    layers = [ingest_layer(path, LayerSchema(name=name)) for name, path in pairs]
+    # ingest_layer is looked up at call time, so perfbench's tracer sees every parse.
+    layers = [
+        store.layer(args.out, path, name, lambda: ingest_layer(path, LayerSchema(name=name)))
+        for name, path in pairs
+    ]
     node_table = read_node_table(args.nodes) if args.nodes else None
     network = MultiplexNetwork.assemble(layers, node_table)
     partition = None
@@ -176,9 +190,10 @@ def _require_seed(args: argparse.Namespace, scripts: Sequence[ComboScript]) -> i
 
 
 def _detect(
-    layer, scripts: Sequence[ComboScript], root_seed: int, layer_index: int, variant: int
+    out: str, layer, scripts: Sequence[ComboScript], root_seed: int, layer_index: int, variant: int
 ) -> DetectionResult:
-    return run_portfolio(layer, scripts, seed=derive_seed(root_seed, layer_index, variant))
+    seed = derive_seed(root_seed, layer_index, variant)
+    return store.detection(out, layer, scripts, seed, lambda: run_portfolio(layer, scripts, seed=seed))
 
 
 def _read_events(path: str | Path) -> list[tuple[date, str]]:
@@ -263,7 +278,7 @@ def cmd_polarization(args: argparse.Namespace) -> int:
         codes = partition.codes(network.node_ids)
         for layer_index, name in enumerate(run.layer_names):
             layer = network.layer(name)
-            detection = _detect(layer, scripts, root_seed, layer_index, variant_index)
+            detection = _detect(args.out, layer, scripts, root_seed, layer_index, variant_index)
             point, *jack = _estimate(
                 args, q_modularity(layer, None, codes=codes),
                 lambda: leave_one_out_q(layer, codes, network.active_indices()))
@@ -293,7 +308,9 @@ def cmd_group_nmi(args: argparse.Namespace) -> int:
     variant_index = 1 if args.exclude_unaligned else 0
     named: list[tuple[str, Partition]] = [("parties", partition)]
     for layer_index, name in enumerate(run.layer_names):
-        detection = _detect(network.layer(name), scripts, root_seed, layer_index, variant_index)
+        detection = _detect(
+            args.out, network.layer(name), scripts, root_seed, layer_index, variant_index
+        )
         named.append((f"communities:{name}", detection.partition))
     nodes = [network.node_ids[i] for i in network.active_indices()]
     header = ["x", "y", "nmi", "estimator"]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -101,6 +101,21 @@ class DetectionResult:
     seed: int | None
     group_count: int
     flags: tuple[str, ...] = ()
+
+    @classmethod
+    def from_codes(
+        cls,
+        node_ids: Sequence[str],
+        script: str,
+        seed: int | None,
+        codes: np.ndarray,
+        q: float,
+        flags: tuple[str, ...] = (),
+    ) -> "DetectionResult":
+        """Wrap canonical ``codes`` over ``node_ids`` and their directed Q."""
+        labels = tuple(f"c{k}" for k in range(int(codes.max()) + 1))
+        assignment = {node: labels[codes[i]] for i, node in enumerate(node_ids)}
+        return cls(Partition.from_assignment(assignment, labels), q, script, seed, len(labels), flags)
 
 
 class _Problem(ScaledLayer):
@@ -529,26 +544,11 @@ def derive_seed(root: int, *path: int) -> int:
     return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
 
 
-def _result(
-    problem: _Problem,
-    script: str,
-    seed: int | None,
-    codes: np.ndarray,
-    q: float,
-    flags: tuple[str, ...] = (),
-) -> DetectionResult:
-    """Wrap canonical ``codes`` and their directed Q as a result."""
-    labels = tuple(f"c{k}" for k in range(int(codes.max()) + 1))
-    assignment = {node: labels[codes[i]] for i, node in enumerate(problem.layer.node_ids)}
-    partition = Partition.from_assignment(assignment, labels)
-    return DetectionResult(partition, q, script, seed, len(labels), flags)
-
-
 def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
     """Single-node move refinement of a starting partition; Q never drops."""
     problem = _Problem(layer)
     codes = _reposition(problem, start.codes(layer.node_ids))
-    return _result(problem, "r-1", None, codes, problem.q(codes))
+    return DetectionResult.from_codes(layer.node_ids, "r-1", None, codes, problem.q(codes))
 
 
 def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) -> DetectionResult:
@@ -569,7 +569,7 @@ def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) 
         raise ValidationError(f"script {script} has stochastic stages and needs a seed")
     problem = _Problem(layer)
     seed = seed if script.stochastic else None
-    return _result(problem, str(script), seed, *_combo(problem, script, seed))
+    return DetectionResult.from_codes(layer.node_ids, str(script), seed, *_combo(problem, script, seed))
 
 
 def _combo(
@@ -625,4 +625,4 @@ def run_portfolio(
         codes, q, flags = _combo(problem, script, sub_seed)
         if best is None or _better(q, codes, best[3], best[2]):
             best = (str(script), sub_seed, codes, q, flags)
-    return _result(problem, *best)
+    return DetectionResult.from_codes(layer.node_ids, *best)

@@ -34,22 +34,16 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a temporary file and rename."""
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Write bytes to path via a temporary file and rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
-        "w",
-        encoding="utf-8",
-        newline="",
-        dir=path.parent,
-        prefix=f".{path.name}.",
-        suffix=".tmp",
-        delete=False,
+        "wb", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp", delete=False
     )
     try:
         with handle:
-            handle.write(text)
+            handle.write(data)
         os.replace(handle.name, path)
     except BaseException:
         try:
@@ -57,6 +51,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8, unchanged newlines, via a temporary file and rename."""
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

@@ -247,7 +247,7 @@ def test_reports_unchanged_when_layer_rows_are_shuffled(tmp_path):
     def reports(out: Path) -> dict[str, bytes]:
         for command in commands:
             assert main([*command, *args, "--out", str(out)]) == 0
-        return {path.name: path.read_bytes() for path in out.iterdir()}
+        return {path.name: path.read_bytes() for path in out.glob("*.csv")}
 
     ordered = reports(tmp_path / "ordered")
     assert sorted(ordered) == ["group_nmi.csv", "layer_similarity.csv", "polarization.csv"]
