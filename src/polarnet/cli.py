@@ -16,10 +16,10 @@ Commands that share an output directory share work through ``store``: each
 parsed layer and each detection is kept there as a hidden
 ``.polarnet-<kind>-<key>.npz`` file keyed by its content (the layer file's
 bytes; the layer, scripts and derived seed of a detection) and by a digest
-of the package's sources.  A later command reuses it instead of parsing or
-detecting again, so ``group-nmi`` after ``polarization`` detects nothing
-anew.  Reports are the same bytes either way, and deleting the hidden files
-is always safe.
+of the package's sources and the Python, numpy and scipy versions.  A
+later command reuses it instead of parsing or detecting again, so
+``group-nmi`` after ``polarization`` detects nothing anew.  Reports are the
+same bytes either way, and deleting the hidden files is always safe.
 """
 from __future__ import annotations
 
@@ -126,7 +126,8 @@ def _load_run(args: argparse.Namespace, *, need_partition: bool, min_layers: int
         )
     # ingest_layer is looked up at call time, so perfbench's tracer sees every parse.
     layers = [
-        store.layer(args.out, path, name, lambda: ingest_layer(path, LayerSchema(name=name)))
+        store.layer(args.out, path, name,
+                    lambda data: ingest_layer(path, LayerSchema(name=name), data=data))
         for name, path in pairs
     ]
     node_table = read_node_table(args.nodes) if args.nodes else None

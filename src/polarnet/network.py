@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import itertools
 import math
 import re
@@ -260,14 +261,15 @@ def parse_date(cell: str, path: str | Path, line: int) -> date:
     raise ParseError(f"bad date {cell!r} (expected YYYY-MM-DD)", path=str(path), line=line)
 
 
-def _not_utf8(path: str | Path) -> ParseError:
-    """ParseError at the first line of ``path`` that does not decode as UTF-8.
+def _not_utf8(path: str | Path, data: bytes | None = None) -> ParseError:
+    """ParseError at the first line of ``path`` (or of ``data``, its bytes)
+    that does not decode as UTF-8.
 
     A text stream decodes in chunks, so its UnicodeDecodeError cannot name
     the line; newline bytes never occur inside a UTF-8 sequence, so decoding
     line by line finds it.
     """
-    with open(path, "rb") as handle:
+    with open(path, "rb") if data is None else io.BytesIO(data) as handle:
         for line, raw in enumerate(handle, start=1):
             try:
                 raw.decode("utf-8")
@@ -284,14 +286,20 @@ def read_text(path: str | Path) -> str:
         raise _not_utf8(path) from None
 
 
-def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+def csv_rows(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, cells) for every non-blank row of a UTF-8 CSV file.
 
-    A leading byte-order mark is dropped.  ``line`` is the physical line on
+    ``data``, when given, is the file's bytes, already read, and ``path``
+    only names it in errors; a pipe cannot be opened a second time.  A
+    leading byte-order mark is dropped.  ``line`` is the physical line on
     which the row starts, so rows after a quoted multi-line cell are still
     named correctly in errors.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    if data is None:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    else:
+        handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    with handle:
         reader = csv.reader(handle)
         line = 1
         try:
@@ -300,7 +308,7 @@ def csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
                     yield line, cells
                 line = reader.line_num + 1
         except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+            raise _not_utf8(path, data) from None
 
 
 def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -321,19 +329,21 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
         yield line, cells
 
 
-def ingest_layer(path: str | Path, schema: LayerSchema | None = None) -> Layer:
+def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
+                 data: bytes | None = None) -> Layer:
     """Read a layer CSV with columns source,target[,weight][,date].
 
     A header on line 1 whose first two cells are source,target maps every
     column by name, and an unknown or repeated name is an error; otherwise
     rows are read positionally (2 columns unweighted, 3 with weight, 4 with
     weight and date).  The layer is weighted exactly when a weight column is
-    present.
+    present.  ``data``, when given, is the file's bytes, already read, and
+    ``path`` then only names the layer and its errors.
     """
     path = Path(path)
     where = str(path)
     name = (schema.name if schema else None) or path.stem
-    rows = csv_rows(path)
+    rows = csv_rows(path, data)
     first = next(rows, None)
     if first is None:
         return Layer.from_columns(name, [], [], [], [], weighted=False)

@@ -3,18 +3,21 @@
 A later command writing to the same ``--out`` directory reuses an entry
 instead of computing it again.  Two kinds are kept:
 
-- ``layer``: a parsed layer, keyed by the bytes of its CSV file;
+- ``layer``: a parsed layer, keyed by the bytes of its CSV file, which is
+  read once and parsed from those same bytes, so a pipe works and a file
+  that changes meanwhile is never kept under the wrong key;
 - ``detection``: a portfolio's result on one layer, keyed by the layer's
   registry and its ``src``, ``dst`` and ``weight`` arrays, the script texts
   and the derived seed.
 
-Every key also covers a digest of this package's source files, taken once
-per process, so an entry written by other code is never read.  An entry is
-one flat hidden file, ``<out>/.polarnet-<kind>-<key>.npz``, whose bytes
-depend only on its content.  An entry that cannot be read or fails its
-checks is a miss: the value is computed again and the entry rewritten.  The
-store never makes a command fail and never changes a report, so deleting
-its files is always safe.
+Every key also covers a digest of this package's source files and of the
+Python, numpy and scipy versions, taken once per process, so an entry
+written by other code is never read.  An entry is one flat hidden file,
+``<out>/.polarnet-<kind>-<key>.npz``, whose bytes depend only on its
+content.  An entry that cannot be read or fails its checks is a miss: the
+value is computed again and the entry rewritten.  The store never makes a
+command fail and never changes a report, so deleting its files is always
+safe.
 """
 from __future__ import annotations
 
@@ -22,10 +25,12 @@ import functools
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
+import scipy
 
 from .communities import ComboScript, DetectionResult
 from .network import Layer
@@ -34,8 +39,11 @@ from .reports import write_bytes_atomic
 
 @functools.cache
 def source_digest() -> bytes:
-    """sha256 over the names and bytes of the package's ``.py`` files."""
+    """sha256 over the names and bytes of the package's ``.py`` files and
+    the versions of Python, numpy and scipy, whose eigensolver, random
+    streams and sorts the detections depend on."""
     digest = hashlib.sha256()
+    _update(digest, sys.version.encode(), np.__version__.encode(), scipy.__version__.encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         _update(digest, path.name.encode(), path.read_bytes())
     return digest.digest()
@@ -94,12 +102,14 @@ def _bytes(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8)
 
 
-def layer(out: str | Path, path: str | Path, name: str, parse: Callable[[], Layer]) -> Layer:
-    """The layer that ``parse()`` reads from ``path``, kept under the file's bytes."""
+def layer(out: str | Path, path: str | Path, name: str,
+          parse: Callable[[bytes | None], Layer]) -> Layer:
+    """The layer that ``parse(data)`` reads from ``data``, the bytes of
+    ``path``, kept under those bytes."""
     try:
         data = Path(path).read_bytes()
     except OSError:
-        return parse()  # parse names the problem as it always has
+        return parse(None)  # parse opens the path and names the problem as it always has
 
     def decode(entry) -> Layer:
         a = _arrays(entry, {"registry", "src", "dst", "weight", "weighted"}, frozenset({"days"}))
@@ -119,7 +129,7 @@ def layer(out: str | Path, path: str | Path, name: str, parse: Callable[[], Laye
             arrays["days"] = found.days
         return arrays
 
-    return _cached(out, "layer", [data], decode, parse, encode)
+    return _cached(out, "layer", [data], decode, lambda: parse(data), encode)
 
 
 def detection(out: str | Path, layer: Layer, scripts: Sequence[ComboScript], seed: int,

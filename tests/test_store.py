@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import sys
+import threading
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from polarnet import cli, store
 from polarnet.communities import ComboScript, DetectionResult
@@ -145,6 +149,51 @@ def test_changed_layer_byte_reparses_that_layer_only(fixture_root, tmp_path, cal
     assert [layer.name for layer in calls["run_portfolio"]] == ["likes", "likes"]
     _run(polarization, tmp_path / "fresh")
     assert _reports(out) == _reports(tmp_path / "fresh")
+
+
+def _feed(fd: int, data: bytes) -> None:
+    with open(fd, "wb") as handle:
+        handle.write(data)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_layer_from_a_pipe_is_read_once(fixture_root, tmp_path, calls):
+    """A layer given as a pipe, as by ``--layer likes=<(zcat likes.csv.gz)``,
+    can be read only once: the run must parse the bytes it hashed."""
+    polarization = _commands(fixture_root)[1]
+    _run(polarization, tmp_path / "files")
+    likes = fixture_root / "likes.csv"
+    read, write = os.pipe()
+    feeder = threading.Thread(target=_feed, args=(write, likes.read_bytes()))
+    feeder.start()
+    try:
+        _run([f"likes=/dev/fd/{read}" if arg == f"likes={likes}" else arg for arg in polarization],
+             tmp_path / "piped")
+    finally:
+        feeder.join()
+        os.close(read)
+    assert _reports(tmp_path / "piped") == _reports(tmp_path / "files")
+    for path in _entries(tmp_path / "piped", "layer"):
+        with np.load(path) as entry:
+            assert len(entry["src"]) > 0
+    # The piped layer was kept under its real bytes, so the regular file hits it.
+    calls["ingest_layer"].clear()
+    calls["run_portfolio"].clear()
+    _run(polarization, tmp_path / "piped")
+    assert calls == {"ingest_layer": [], "run_portfolio": []}
+    assert _reports(tmp_path / "piped") == _reports(tmp_path / "files")
+
+
+@pytest.mark.parametrize("module, attr", [(np, "__version__"), (scipy, "__version__"),
+                                          (sys, "version")])
+def test_source_digest_covers_python_numpy_and_scipy(monkeypatch, module, attr):
+    digest = store.source_digest()
+    monkeypatch.setattr(module, attr, "0.0")
+    store.source_digest.cache_clear()
+    try:
+        assert store.source_digest() != digest
+    finally:
+        store.source_digest.cache_clear()
 
 
 def _truncate(path: Path) -> None:
