@@ -46,7 +46,7 @@ from .infometrics import (
     link_nmi,
     partial_jaccard,
     partition_nmi,
-    replicate_values,
+    similarity_replicates,
 )
 from .modularity import (
     NORMALIZATIONS,
@@ -218,9 +218,9 @@ def _emit(args: argparse.Namespace, stem: str, header: Sequence[str], rows: list
 # -- subcommands -----------------------------------------------------------
 
 
-def _estimate(args: argparse.Namespace, point: float, replicates: Callable[[], list]) -> list[Any]:
+def _estimate(args: argparse.Namespace, point: float, replicates: Callable[[], Any]) -> list[Any]:
     """[point, jack_mean, two_sigma, unreliable]; ``replicates()`` gives the
-    leave-one-node-out values in index order, None where undefined."""
+    leave-one-node-out values in index order, NaN or None where undefined."""
     if args.no_jackknife:
         return [point, None, None, None]
     est = MetricEstimate.from_replicates(point, replicates())
@@ -232,25 +232,23 @@ def cmd_layer_similarity(args: argparse.Namespace) -> int:
     network, names = run.network, run.layer_names
     header = ["metric", "layer_x", "layer_y", "point", "jack_mean", "two_sigma", "unreliable"]
     rows: list[list[Any]] = []
-    # Each replicate's counts, computed once per unordered layer pair.
-    pairs: dict[tuple[str, str], list[LinkIndicatorPair]] = {}
+    # (partial Jaccard, NMI) replicate arrays of each ordered pair, one pass per unordered pair.
+    scores: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     if not args.no_jackknife:
         nodes = network.active_indices()
         for i, x in enumerate(names):
             for y in names[i + 1:]:
                 counts = LinkIndicatorPair.leave_one_out(network.layer(x), network.layer(y), nodes)
-                pairs[(x, y)], pairs[(y, x)] = counts, [pair.swapped() for pair in counts]
+                scores[(x, y)], scores[(y, x)] = similarity_replicates(counts, args.estimator)
     for x in names:
         for y in names:
             if x == y:
                 continue
             a, b = network.layer(x), network.layer(y)
             rows.append(["overlap", x, y, *_estimate(
-                args, partial_jaccard(a, b),
-                lambda: replicate_values(LinkIndicatorPair.partial_jaccard, pairs[(x, y)]))])
+                args, partial_jaccard(a, b), lambda: scores[(x, y)][0])])
             rows.append(["nmi", x, y, *_estimate(
-                args, link_nmi(a, b, args.estimator)[0],
-                lambda: replicate_values(lambda pair: pair.nmi(args.estimator)[0], pairs[(x, y)]))])
+                args, link_nmi(a, b, args.estimator)[0], lambda: scores[(x, y)][1])])
     _emit(args, "layer_similarity", header, rows)
     return 0
 

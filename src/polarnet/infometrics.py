@@ -6,11 +6,14 @@ two such sets into the 2x2 pair-indicator table, which every similarity
 reads: set overlap (Jaccard, partial Jaccard) or normalized mutual
 information.  Entropies are in bits and use the Miller-Madow corrected
 estimator by default, with the plain maximum-likelihood estimator available
-as a switch, from one entropy function.  Every information score reads one
-pass over its joint count table: three entropies give I(X;Y) and both NMIs.
+as a switch, from one entropy function.  The Miller-Madow term needs a total
+count of at least 1.  Entropies and information scores work row-wise on a
+stack of count tables: three entropy passes over the stack give I(X;Y) and
+both NMIs of every table, and a single table is a stack of one.
 Error bars come from leave-one-node-out jackknife resampling: ``jackknife``
 copies the network per replicate, and ``LinkIndicatorPair.leave_one_out``
-gives every replicate's table in closed form from per-node link counts.
+gives every replicate's counts in closed form from per-node link counts, as
+arrays that ``similarity_replicates`` scores in one pass.
 """
 from __future__ import annotations
 
@@ -72,25 +75,37 @@ def _checked(counts: Sequence | np.ndarray) -> np.ndarray:
     return counts
 
 
-def _entropy(counts: np.ndarray, estimator: str) -> float:
-    """Bits from checked 1-D counts, plus (p_observed - 1) / (2n) for "mm"."""
-    n = counts.sum()
-    p = counts / n
-    p = p[p > 0]  # after dividing: a count far below n may round to p = 0
-    h = float(-(p * np.log2(p)).sum())
+def _entropy(counts: np.ndarray, estimator: str) -> np.ndarray:
+    """Bits of each row of a (k, c) stack of checked counts with positive totals,
+    plus (p_observed - 1) / (2n) for "mm".
+
+    numpy adds fewer than 8 values strictly in order, so in a row of fewer than
+    8 cells a 0.0 term per empty cell leaves the sum over the others bit for bit
+    as it is.  Wider rows (``partition_nmi``'s tables, one per call) are not
+    summed in order and add only their non-zero terms.
+    """
+    n = counts.sum(axis=1)
+    if estimator == "mm" and (n < 1).any():
+        raise ValidationError("the Miller-Madow estimator needs a total count of at least 1")
+    p = counts / n[:, None]
+    # p > 0, not counts > 0: a count far below n may round to p = 0
+    if counts.shape[1] < 8:
+        h = -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+    else:
+        h = np.array([-(q * np.log2(q)).sum() for q in (row[row > 0] for row in p)])
     if estimator == "mm":
-        h += (np.count_nonzero(counts) - 1) / (2.0 * n)
+        h += (np.count_nonzero(counts, axis=1) - 1) / (2.0 * n)
     return h
 
 
 def entropy_ml(counts: Sequence[float] | np.ndarray) -> float:
     """Maximum-likelihood Shannon entropy in bits; zero counts contribute 0."""
-    return _entropy(_checked(counts).ravel(), "ml")
+    return float(_entropy(_checked(counts).reshape(1, -1), "ml")[0])
 
 
 def entropy_mm(counts: Sequence[float] | np.ndarray) -> float:
-    """ML entropy plus the Miller-Madow correction (p_observed - 1) / (2n)."""
-    return _entropy(_checked(counts).ravel(), "mm")
+    """ML entropy plus the Miller-Madow correction (p_observed - 1) / (2n); n >= 1."""
+    return float(_entropy(_checked(counts).reshape(1, -1), "mm")[0])
 
 
 class MIResult(NamedTuple):
@@ -101,18 +116,30 @@ class MIResult(NamedTuple):
     degenerate: bool
 
 
-def _information(table: Sequence | np.ndarray, estimator: str) -> tuple[MIResult, float, float]:
-    """(I(X;Y), H(X), H(Y)) from one check of the table and at most three entropies."""
+def _information(
+    tables: np.ndarray, estimator: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(raw I(X;Y), degenerate, H(X), H(Y)) of each table in a (k, r, c) stack of
+    checked counts with positive totals, rows being X.  Raw I is
+    H(X) + H(Y) - H(X,Y), and 0.0 for a degenerate table (at most one non-zero cell)."""
+    hx = _entropy(tables.sum(axis=2), estimator)
+    hy = _entropy(tables.sum(axis=1), estimator)
+    k, r, c = tables.shape
+    cells = tables.reshape(k, r * c)
+    degenerate = np.count_nonzero(cells, axis=1) <= 1
+    raw = np.where(degenerate, 0.0, hx + hy - _entropy(cells, estimator))
+    return raw, degenerate, hx, hy
+
+
+def _table_information(table: Sequence | np.ndarray, estimator: str) -> tuple[MIResult, float, float]:
+    """(I(X;Y), H(X), H(Y)) of one joint count table, checked once."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValidationError("joint table must be 2-D")
     table = _checked(table)
     if estimator not in ESTIMATORS:
         raise ValidationError(f"unknown estimator {estimator!r}")
-    hx = _entropy(table.sum(axis=1), estimator)
-    hy = _entropy(table.sum(axis=0), estimator)
-    degenerate = int((table > 0).sum()) <= 1
-    raw = 0.0 if degenerate else hx + hy - _entropy(table.ravel(), estimator)
+    raw, degenerate, hx, hy = (value[0].item() for value in _information(table[None], estimator))
     return MIResult(max(raw, 0.0), raw, degenerate), hx, hy
 
 
@@ -124,7 +151,7 @@ def _normalized(raw: float, h: float) -> float:
 
 def mutual_information(table: Sequence | np.ndarray, estimator: str = "mm") -> MIResult:
     """I(X;Y) = H(X) + H(Y) - H(X,Y) over a 2-D joint count table."""
-    return _information(table, estimator)[0]
+    return _table_information(table, estimator)[0]
 
 
 def nmi(table: Sequence | np.ndarray, respect_to: str = "x", estimator: str = "mm") -> float:
@@ -134,7 +161,7 @@ def nmi(table: Sequence | np.ndarray, respect_to: str = "x", estimator: str = "m
     """
     if respect_to not in ("x", "y"):
         raise ValidationError(f"respect_to must be 'x' or 'y', got {respect_to!r}")
-    mi, hx, hy = _information(table, estimator)
+    mi, hx, hy = _table_information(table, estimator)
     return _normalized(mi.raw, hx if respect_to == "x" else hy)
 
 
@@ -160,9 +187,12 @@ class LinkIndicatorPair:
             raise ValidationError("link sets exceed the ordered-pair universe")
         return cls(n11, n10, n01, n00)
 
-    @classmethod
-    def leave_one_out(cls, x: Layer, y: Layer, nodes: Sequence[int]) -> list["LinkIndicatorPair"]:
-        """The counts of ``from_layers`` on each node's ``drop_node`` copy, in closed form.
+    @staticmethod
+    def leave_one_out(
+        x: Layer, y: Layer, nodes: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(n11, n10, n01, n00) of ``from_layers`` on each node's ``drop_node`` copy,
+        in closed form: int64 arrays with one entry per node of ``nodes``.
 
         Removing v removes exactly the pairs incident to v, so each count drops
         by v's incident pairs in X, Y and X ∩ Y, and the universe shrinks to
@@ -185,11 +215,7 @@ class LinkIndicatorPair:
         n00 = n * (n - 1) - n11 - n10 - n01
         if (n00 < 0).any():
             raise ValidationError("link sets exceed the ordered-pair universe")
-        return [cls(*counts) for counts in zip(n11.tolist(), n10.tolist(), n01.tolist(), n00.tolist())]
-
-    def swapped(self) -> "LinkIndicatorPair":
-        """The counts of the layers in the other order."""
-        return LinkIndicatorPair(self.n11, self.n01, self.n10, self.n00)
+        return n11, n10, n01, n00
 
     def partial_jaccard(self) -> float:
         """|X ∩ Y| / |Y|, undefined when Y is empty."""
@@ -199,11 +225,41 @@ class LinkIndicatorPair:
 
     def nmi(self, estimator: str = "mm") -> tuple[float, float]:
         """(NMI(X|Y), NMI(Y|X)), undefined when either layer's indicator has zero entropy."""
-        mi, hx, hy = _information(self.table(), estimator)
+        mi, hx, hy = _table_information(self.table(), estimator)
         return _normalized(mi.raw, hx), _normalized(mi.raw, hy)
 
     def table(self) -> np.ndarray:
         return np.array([[self.n11, self.n10], [self.n01, self.n00]], dtype=np.float64)
+
+
+def similarity_replicates(
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], estimator: str = "mm"
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """((partial Jaccard, NMI(X|Y)) of (x, y), the same of (y, x)) for each
+    replicate's (n11, n10, n01, n00), as float64 arrays with NaN where undefined.
+
+    Each array equals ``partial_jaccard`` and ``link_nmi(...)[0]`` of that
+    replicate's pair bit for bit.  Both orders' tables are scored in one stack;
+    the (y, x) table is [[n11, n01], [n10, n00]], its cells summed in that order.
+    A table of no pairs, an empty second layer (partial Jaccard) and an
+    indicator with zero entropy (NMI) are undefined.
+    """
+    if estimator not in ESTIMATORS:
+        raise ValidationError(f"unknown estimator {estimator!r}")
+    n11, n10, n01, n00 = (np.asarray(count, dtype=np.float64) for count in counts)
+    k = len(n11)
+    tables = np.stack([
+        np.stack([n11, n10, n01, n00], axis=1),
+        np.stack([n11, n01, n10, n00], axis=1),
+    ]).reshape(2 * k, 2, 2)
+    y_links = tables[:, 0, 0] + tables[:, 1, 0]
+    overlap = np.divide(tables[:, 0, 0], y_links, out=np.full(2 * k, np.nan), where=y_links > 0)
+    rows = np.flatnonzero(tables.sum(axis=(1, 2)) > 0)
+    raw, _, hx, hy = _information(tables[rows], estimator)
+    defined = (hx > 0) & (hy > 0)
+    nmi_values = np.full(2 * k, np.nan)
+    nmi_values[rows[defined]] = raw[defined] / hx[defined]
+    return (overlap[:k], nmi_values[:k]), (overlap[k:], nmi_values[k:])
 
 
 def link_nmi(x: Layer, y: Layer, estimator: str = "mm") -> tuple[float, float]:
@@ -229,7 +285,7 @@ def partition_nmi(
         raise ValidationError("empty node universe")
     na, nb = len(a.labels), len(b.labels)
     pairs = a.codes(nodes) * nb + b.codes(nodes)
-    mi, ha, hb = _information(np.bincount(pairs, minlength=na * nb).reshape(na, nb), estimator)
+    mi, ha, hb = _table_information(np.bincount(pairs, minlength=na * nb).reshape(na, nb), estimator)
     return _normalized(mi.raw, ha), _normalized(mi.raw, hb)
 
 
@@ -245,11 +301,15 @@ class MetricEstimate:
     unreliable: bool = False
 
     @classmethod
-    def from_replicates(cls, point: float, replicates: Sequence[float | None]) -> "MetricEstimate":
-        """Summarize one replicate per active node, in index order, None where the
-        metric is undefined: those are skipped and counted, and more than 10%
-        skipped flags the estimate unreliable.  ``two_sigma`` is 2 * std (ddof=0)."""
-        values = np.array([value for value in replicates if value is not None], dtype=np.float64)
+    def from_replicates(
+        cls, point: float, replicates: np.ndarray | Sequence[float | None]
+    ) -> "MetricEstimate":
+        """Summarize one replicate per active node, in index order, as a float64
+        array with NaN where the metric is undefined (a list's None converts to
+        NaN): those are skipped and counted, and more than 10% skipped flags the
+        estimate unreliable.  ``two_sigma`` is 2 * std (ddof=0)."""
+        replicates = np.asarray(replicates, dtype=np.float64)
+        values = replicates[~np.isnan(replicates)]
         if not len(values):
             raise UndefinedMetricError("metric undefined on every jackknife replicate")
         samples = len(replicates)

@@ -34,8 +34,19 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
+def _umask() -> int:
+    # os has no getter: set the umask, then put it back.
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_bytes_atomic(path: str | Path, data: bytes) -> None:
-    """Write bytes to path via a temporary file and rename."""
+    """Write bytes to path via a temporary file and rename.
+
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask, not the temporary file's 0o600.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -44,6 +55,7 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     try:
         with handle:
             handle.write(data)
+        os.chmod(handle.name, 0o666 & ~_umask())
         os.replace(handle.name, path)
     except BaseException:
         try:

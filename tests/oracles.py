@@ -465,7 +465,7 @@ def link_overlap_oracle(
 
 
 def entropy_reference(counts, estimator: str) -> float:
-    """ML entropy in bits, plus (observed - 1) / (2n) for "mm"."""
+    """ML entropy in bits, plus (observed - 1) / (2n) for "mm", which needs n >= 1."""
     if estimator not in ("mm", "ml"):
         raise ValueError(f"unknown estimator {estimator!r}")
     counts = np.asarray(counts, dtype=np.float64).ravel()
@@ -474,6 +474,8 @@ def entropy_reference(counts, estimator: str) -> float:
         raise ValueError("counts must be non-negative")
     if n <= 0:
         raise ZeroDivisionError("all counts are zero")
+    if estimator == "mm" and n < 1:
+        raise ValueError("the Miller-Madow estimator needs a total count of at least 1")
     p = (counts / n)[counts / n > 0]
     base = float(-(p * np.log2(p)).sum())
     if estimator == "ml":
@@ -526,6 +528,30 @@ def nmi_reference(table, respect_to: str, estimator: str) -> float:
     if h <= 0.0:
         raise ZeroDivisionError("normalizing margin has zero entropy")
     return mutual_information_reference(table, estimator)[1] / h
+
+
+def similarity_replicates_reference(counts, estimator: str):
+    """The per-replicate loop that scored the layer-similarity jackknife.
+
+    ``counts`` holds each replicate's (n11, n10, n01, n00) as four sequences.
+    Each replicate's (x, y) table [[n11, n10], [n01, n00]] and (y, x) table
+    [[n11, n01], [n10, n00]] are scored one at a time: partial Jaccard
+    n11 / (n11 + column-0 total), and NMI normalized by the rows from
+    ``nmi_reference``, which is undefined where the table is empty or where
+    either margin has zero entropy.  Returns ((overlap, nmi) of (x, y),
+    (overlap, nmi) of (y, x)) as lists with None where undefined.
+    """
+    scores = ([], [], [], [])
+    for n11, n10, n01, n00 in zip(*(np.asarray(count).tolist() for count in counts)):
+        for direction, table in enumerate(([[n11, n10], [n01, n00]], [[n11, n01], [n10, n00]])):
+            y_links = table[0][0] + table[1][0]
+            scores[2 * direction].append(table[0][0] / y_links if y_links else None)
+            try:
+                both = [nmi_reference(table, respect_to, estimator) for respect_to in ("x", "y")]
+            except ZeroDivisionError:
+                both = [None]
+            scores[2 * direction + 1].append(both[0])
+    return (scores[0], scores[1]), (scores[2], scores[3])
 
 
 def eo_bisect_oracle(problem, sub, rng, *, tau: float = 1.4, tol: float = 1e-12):

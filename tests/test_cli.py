@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import polarnet
+from polarnet import infometrics
 from polarnet.cli import main
 from polarnet.infometrics import jackknife, link_nmi, partial_jaccard
 from polarnet.modularity import q_modularity
@@ -397,6 +398,38 @@ def test_jackknife_cells_equal_brute_force_jackknife(fixture_dir):
         else:
             metric = lambda sub: link_nmi(sub.layer(x), sub.layer(y), "mm")[0]
         assert [row["jack_mean"], row["two_sigma"], row["unreliable"]] == cells(metric, network)
+
+
+def test_layer_similarity_work_does_not_grow_with_replicates(tmp_path, monkeypatch):
+    """Each unordered pair's replicate counts come from one call, and the
+    replicates are scored in one batch: no per-replicate object or entropy call."""
+    calls = {"leave_one_out": 0, "entropy": 0, "pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pair_class = infometrics.LinkIndicatorPair
+    monkeypatch.setattr(pair_class, "leave_one_out",
+                        staticmethod(counted("leave_one_out", pair_class.leave_one_out)))
+    monkeypatch.setattr(pair_class, "__init__", counted("pair", pair_class.__init__))
+    monkeypatch.setattr(infometrics, "_entropy", counted("entropy", infometrics._entropy))
+    rng = random.Random(5)
+    seen = []
+    for n in (8, 60):
+        args = ["layer-similarity", "--out", str(tmp_path / f"out{n}")]
+        for name in ("a", "b", "c"):
+            path = tmp_path / f"{name}{n}.csv"
+            links = {(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)}
+            path.write_text("".join(f"n{s},n{t}\n" for s, t in sorted(links) if s != t))
+            args += ["--layer", f"{name}={path}"]
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(args) == 0
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["leave_one_out"] == 3
 
 
 # -- group NMI --------------------------------------------------------------

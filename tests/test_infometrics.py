@@ -21,6 +21,7 @@ from polarnet.errors import UndefinedMetricError, ValidationError
 from polarnet.infometrics import (
     ESTIMATORS,
     LinkIndicatorPair,
+    _entropy,
     entropy_ml,
     entropy_mm,
     jaccard,
@@ -253,6 +254,21 @@ def test_entropy_of_a_count_whose_share_underflows():
     assert np.isfinite(mutual_information([[0, 0, 0, 2], [0, 0, 0, 5e-324]]).raw)
 
 
+def test_miller_madow_needs_a_total_of_at_least_1():
+    message = "the Miller-Madow estimator needs a total count of at least 1"
+    for call in (
+        lambda: entropy_mm([5e-324, 5e-324]),
+        lambda: entropy_mm([0.25, 0.5]),
+        lambda: mutual_information([[5e-324, 0], [0, 5e-324]]),
+        lambda: nmi([[0.5, 0.25], [0.125, 0]], estimator="mm"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert entropy_mm([0.5, 0.5]) == 1.0 + 1.0 / 2.0  # a total of exactly 1 is allowed
+    assert entropy_ml([5e-324, 5e-324]) == 1.0  # the ML estimator has no such rule
+    assert mutual_information([[5e-324, 0], [0, 5e-324]], estimator="ml").raw == 1.0
+
+
 # -- mutual information and NMI --------------------------------------------
 
 
@@ -377,10 +393,7 @@ def _count_tables(cells):
     )
 
 
-# A subnormal total makes the Miller-Madow term (observed - 1) / (2n)
-# overflow to inf on both paths, and inf - inf in I(X;Y) is NaN; numpy warns.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# Float totals below 1, subnormal ones among them, meet the Miller-Madow rule.
 @settings(max_examples=400, deadline=None)
 @given(
     table=_count_tables(
@@ -393,6 +406,8 @@ def _count_tables(cells):
 @example(table=[[3, 0, 2], [0, 0, 0], [1, 0, 4]])
 @example(table=[[10**7, 1], [1, 10**7]])
 @example(table=[[0, 0, 0, 2], [0, 0, 0, 5e-324]])  # a share that rounds to 0
+@example(table=[[5e-324, 0], [0, 5e-324]])  # Miller-Madow on a total below 1
+@example(table=[[0.5, 0.25], [0.125, 0.125]])  # a total of exactly 1
 def test_table_scores_equal_the_replaced_path(table):
     for entropy, estimator in ((entropy_ml, "ml"), (entropy_mm, "mm")):
         assert _outcome(entropy, table) == _outcome(entropy_reference, table, estimator)
@@ -404,6 +419,20 @@ def test_table_scores_equal_the_replaced_path(table):
             assert _outcome(nmi, table, respect_to, estimator) == _outcome(
                 nmi_reference, table, respect_to, estimator
             )
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_entropies_of_a_stack_equal_the_replaced_path(width):
+    # numpy adds fewer than 8 values in order, so narrow rows may hold 0.0 for
+    # an empty cell; wider rows must add only their non-zero terms.
+    rng = np.random.default_rng(width)
+    rows = rng.random((400, width)) * 10.0 ** rng.uniform(0, 4, (400, width))
+    rows *= rng.random((400, width)) < 0.7
+    rows = rows[rows.sum(axis=1) >= 1]
+    for estimator in ESTIMATORS:
+        got = _entropy(rows, estimator).tolist()
+        want = [entropy_reference(row, estimator) for row in rows]
+        assert [value.hex() for value in got] == [value.hex() for value in want]
 
 
 def _both_directions(table, estimator):

@@ -8,6 +8,9 @@ subtracted float sums and is compared to 1e-12.  Replicates are undefined
 when no non-self link is left (Q), when Y' is empty (partial Jaccard) or when
 either indicator has zero entropy (link NMI); they are skipped by integer
 counts, never by a float sum that rounds to a tiny non-zero value.
+``similarity_replicates`` scores every replicate's tables in one batch and is
+also held, bit for bit, to the per-replicate loop it replaced
+(``oracles.similarity_replicates_reference``).
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import layer_of, random_digraph
-from polarnet.errors import UndefinedMetricError
+from oracles import similarity_replicates_reference
+from polarnet.errors import UndefinedMetricError, ValidationError
 from polarnet.infometrics import (
     ESTIMATORS,
     LinkIndicatorPair,
@@ -26,6 +30,7 @@ from polarnet.infometrics import (
     link_nmi,
     partial_jaccard,
     replicate_values,
+    similarity_replicates,
 )
 from polarnet.modularity import leave_one_out_q, q_modularity
 from polarnet.network import MultiplexNetwork
@@ -156,12 +161,28 @@ def test_many_groups_are_scored_in_blocks():
 # -- link similarities --------------------------------------------------------
 
 
-def _score(score) -> str:
-    """repr of score(), or of None where it is undefined: equal reprs are equal bits."""
+def _bits(values) -> list:
+    """Each value's hex form, None for None or NaN: equal lists are equal bits."""
+    return [None if value is None or np.isnan(value) else float(value).hex() for value in values]
+
+
+def _scalar(score):
+    """score() as a float, None where it is undefined."""
     try:
-        return repr(score())
+        return score()
     except UndefinedMetricError:
-        return repr(None)
+        return None
+
+
+def _same_as_reference(counts) -> None:
+    """Batched replicate scores equal the per-replicate loop bit for bit, both estimators."""
+    for estimator in ESTIMATORS:
+        got = similarity_replicates(counts, estimator)
+        want = similarity_replicates_reference(counts, estimator)
+        for got_pair, want_pair in zip(got, want):
+            for got_values, want_values in zip(got_pair, want_pair):
+                assert got_values.dtype == np.float64
+                assert _bits(got_values) == _bits(want_values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,18 +190,67 @@ def _score(score) -> str:
 def test_closed_form_tables_and_scores_equal_brute_force(case):
     network, _ = case
     nodes = network.active_indices()
-    closed = LinkIndicatorPair.leave_one_out(network.layer("x"), network.layer("y"), nodes)
-    assert len(closed) == len(nodes)
-    for v, pair in zip(nodes, closed):
+    counts = LinkIndicatorPair.leave_one_out(network.layer("x"), network.layer("y"), nodes)
+    assert [(count.dtype, len(count)) for count in counts] == [(np.int64, len(nodes))] * 4
+    n11, n10, n01, n00 = counts
+    scores = {estimator: similarity_replicates(counts, estimator) for estimator in ESTIMATORS}
+    for i, v in enumerate(nodes):
         x, y = (network.drop_node(v).layer(name) for name in ("x", "y"))
-        assert pair == LinkIndicatorPair.from_layers(x, y)
-        assert pair.swapped() == LinkIndicatorPair.from_layers(y, x)
-        for counts, (a, b) in ((pair, (x, y)), (pair.swapped(), (y, x))):
-            assert _score(counts.partial_jaccard) == _score(lambda: partial_jaccard(a, b))
-            for estimator in ESTIMATORS:
-                assert _score(lambda: counts.nmi(estimator)[0]) == _score(
-                    lambda: link_nmi(a, b, estimator)[0]
-                )
+        assert LinkIndicatorPair.from_layers(x, y) == LinkIndicatorPair(n11[i], n10[i], n01[i], n00[i])
+        assert LinkIndicatorPair.from_layers(y, x) == LinkIndicatorPair(n11[i], n01[i], n10[i], n00[i])
+        for estimator, ordered in scores.items():
+            for (overlap, nmi_values), (a, b) in zip(ordered, ((x, y), (y, x))):
+                assert _bits([overlap[i]]) == _bits([_scalar(lambda: partial_jaccard(a, b))])
+                assert _bits([nmi_values[i]]) == _bits([_scalar(lambda: link_nmi(a, b, estimator)[0])])
+    _same_as_reference(counts)
+
+
+def _random_pair(seed: int, n: int, px: float, py: float):
+    rng = np.random.default_rng(seed)
+    x = layer_of(n, random_digraph(rng, n, px), name="x")
+    y = layer_of(n, random_digraph(rng, n, py), name="y")
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_scores_equal_the_per_replicate_loop(seed):
+    # Tables of a few thousand pairs, where summing the (y, x) cells in the
+    # (x, y) order changes last bits of the joint entropy.
+    n = 30 + 10 * seed
+    x, y = _random_pair(seed, n, 0.05 + 0.05 * seed, 0.3 - 0.04 * seed)
+    counts = LinkIndicatorPair.leave_one_out(x, y, range(n))
+    _same_as_reference(counts)
+
+
+def test_batched_scores_of_undefined_and_degenerate_replicates():
+    cases = {
+        # Two nodes: every replicate's table has no pairs at all.
+        "two nodes": (layer_of(2, [(0, 1)], name="x"), layer_of(2, [(1, 0)], name="y")),
+        # Identical layers filling the universe: one non-zero cell per table.
+        "degenerate": (layer_of(3, [(s, t) for s in range(3) for t in range(3) if s != t], name="x"),
+                       layer_of(3, [(s, t) for s in range(3) for t in range(3) if s != t], name="y")),
+        # An empty second layer: partial Jaccard and both NMIs are undefined.
+        "empty y": (layer_of(4, [(0, 1), (2, 3)], name="x"), layer_of(4, [], name="y")),
+        # Without n0, y holds both pairs of {n1, n2}: its indicator has zero entropy.
+        "zero-entropy margin": (layer_of(3, [(1, 2), (0, 2), (2, 0)], name="x"),
+                                layer_of(3, [(1, 2), (2, 1), (0, 1)], name="y")),
+    }
+    for name, (x, y) in cases.items():
+        counts = LinkIndicatorPair.leave_one_out(x, y, range(len(x.node_ids)))
+        _same_as_reference(counts)
+        (overlap, nmi_xy), (_, nmi_yx) = similarity_replicates(counts)
+        if name == "two nodes":
+            assert np.isnan(overlap).all() and np.isnan(nmi_xy).all() and np.isnan(nmi_yx).all()
+        elif name == "empty y":
+            assert np.isnan(overlap).all() and np.isnan(nmi_xy).all()
+        elif name == "zero-entropy margin":
+            assert np.isnan(nmi_xy[0]) and np.isnan(nmi_yx[0]) and overlap[0] == 0.5
+
+
+def test_similarity_replicates_rejects_an_unknown_estimator():
+    with pytest.raises(ValidationError, match="unknown estimator"):
+        similarity_replicates(LinkIndicatorPair.leave_one_out(*_random_pair(0, 5, 0.3, 0.3), range(5)),
+                              "median")
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -192,16 +262,27 @@ def test_hub_layer_similarity_replicates_match_jackknife(estimator):
     y = layer_of(5, [(0, 1), (0, 2), (4, 0)], name="y")
     network = MultiplexNetwork.assemble([x, y])
     nodes = network.active_indices()
-    pairs = LinkIndicatorPair.leave_one_out(x, y, nodes)
+    (overlap, nmi_xy), (_, nmi_yx) = similarity_replicates(
+        LinkIndicatorPair.leave_one_out(x, y, nodes), estimator)
     metrics = [
-        (lambda net: partial_jaccard(net.layer("x"), net.layer("y")),
-         replicate_values(LinkIndicatorPair.partial_jaccard, pairs)),
-        (lambda net: link_nmi(net.layer("x"), net.layer("y"), estimator)[0],
-         replicate_values(lambda pair: pair.nmi(estimator)[0], pairs)),
-        (lambda net: link_nmi(net.layer("y"), net.layer("x"), estimator)[0],
-         replicate_values(lambda pair: pair.swapped().nmi(estimator)[0], pairs)),
+        (lambda net: partial_jaccard(net.layer("x"), net.layer("y")), overlap),
+        (lambda net: link_nmi(net.layer("x"), net.layer("y"), estimator)[0], nmi_xy),
+        (lambda net: link_nmi(net.layer("y"), net.layer("x"), estimator)[0], nmi_yx),
     ]
     for metric, closed in metrics:
-        assert closed[0] is None
-        assert closed == _brute(metric, network)
+        assert np.isnan(closed[0])
+        assert _bits(closed) == _bits(_brute(metric, network))
         _same_estimate(closed, metric, network, metric(network))
+
+
+@pytest.mark.parametrize("replicates", [[1.5, None, 2.0, None], [None, None]])
+def test_none_and_nan_replicates_summarize_alike(replicates):
+    as_nan = np.array([np.nan if value is None else value for value in replicates])
+    try:
+        want = MetricEstimate.from_replicates(1.0, replicates)
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            MetricEstimate.from_replicates(1.0, as_nan)
+        return
+    assert MetricEstimate.from_replicates(1.0, as_nan) == want
+    assert (want.samples, want.skipped, want.jack_mean) == (4, 2, 1.75)

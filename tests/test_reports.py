@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
 from helpers import layer_of, partition_of
+from polarnet import store
 from polarnet.errors import ValidationError
 from polarnet.modularity import demodularity_matrix
+from polarnet.network import LayerSchema, ingest_layer
 from polarnet.reports import (
     demod_matrix_table,
     format_value,
@@ -51,6 +55,23 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     write_text_atomic(path, "second")
     assert path.read_text() == "second"
     assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_reports_and_store_entries_take_the_umask(tmp_path, umask, mode):
+    source = tmp_path / "links.csv"
+    source.write_text("source,target\na,b\n", encoding="utf-8")
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        write_csv(out / "report.csv", ["a"], [[1]])
+        store.layer(out, source, "links",
+                    lambda data: ingest_layer(source, LayerSchema(name="links"), data=data))
+    finally:
+        os.umask(old)
+    written = sorted(path.name for path in out.iterdir())
+    assert len(written) == 2 and written[0].startswith(".polarnet-layer-") and written[1] == "report.csv"
+    assert {stat.S_IMODE((out / name).stat().st_mode) for name in written} == {mode}
 
 
 def test_write_json_rounds_floats(tmp_path):
