@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ValidationError
 # q_modularity is not called here; it stays bound because perfbench's tracer wraps it.
@@ -55,6 +54,10 @@ DEFAULT_PORTFOLIO = ("e-1", "esrfr-30", "r-1", "f-1", "s-10", "rfr-1", "rsrfr-30
 EO_TAU = 1.4
 IMPROVE_TOL = 1e-12
 _DENSE_LIMIT = 512  # largest subgraph solved with a dense modularity matrix
+
+
+class _NoConvergence(Exception):
+    """ARPACK stopped before converging on a subgraph, which then stays whole."""
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ def _bisect(
             continue
         try:
             sides = split(problem, sub)
-        except ArpackNoConvergence:
+        except _NoConvergence:
             flags.append(f"eigsh did not converge on a subgraph of {len(sub)} nodes")
             continue
         if sides is None:
@@ -368,7 +371,7 @@ def _split_gain(problem: _Problem, sub: np.ndarray, sides: np.ndarray) -> float:
 
 def _leading_vector(problem: _Problem, sub: np.ndarray) -> np.ndarray:
     """Eigenvector of the most positive eigenvalue of the generalized
-    symmetrized modularity submatrix; raises ArpackNoConvergence when
+    symmetrized modularity submatrix; raises _NoConvergence when
     ``eigsh`` does not converge.  ``eigsh`` starts from one fixed generic
     vector, not the all-ones one, which has eigenvalue 0 (zero row sums)."""
     s = len(sub)
@@ -389,9 +392,15 @@ def _leading_vector(problem: _Problem, sub: np.ndarray) -> np.ndarray:
         null = (kout * float(kin @ vec) + kin * float(kout @ vec)) / (2.0 * m)
         return local @ vec / 2.0 - null - d * vec
 
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     operator = LinearOperator((s, s), matvec=apply, dtype=np.float64)
     start = np.random.default_rng(0).standard_normal(s)
-    return eigsh(operator, k=1, which="LA", v0=start)[1][:, 0]
+    try:
+        return eigsh(operator, k=1, which="LA", v0=start)[1][:, 0]
+    except ArpackNoConvergence:
+        raise _NoConvergence from None
 
 
 def _spectral_split(problem: _Problem, sub: np.ndarray) -> np.ndarray | None:

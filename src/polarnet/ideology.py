@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import ParseError, UndefinedMetricError, ValidationError
 from .modularity import demodularity_matrix
@@ -114,6 +113,9 @@ def pearson_pvalue(r: float, n: int) -> float:
         raise ValidationError("p-value needs at least 3 observations")
     if abs(r) == 1.0:
         return 0.0
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.special import stdtr
+
     stat = r * math.sqrt((n - 2) / (1.0 - r * r))
     return float(2.0 * stdtr(n - 2, -abs(stat)))
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import InternalConsistencyError, UndefinedMetricError, ValidationError
 from .network import Layer, Partition
@@ -98,6 +97,9 @@ def leave_one_out_q(layer: Layer, codes: np.ndarray, nodes: Sequence[int]) -> li
     subtractions lose about log2(m / m') bits, so a replicate that keeps less
     than 1/256 of the weight is computed from its remaining links instead.
     """
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.sparse import csr_matrix
+
     view = ScaledLayer(layer)
     src, dst, w, m, size = view.src, view.dst, view.w, view.m, view.n
     groups = int(codes.max()) + 1 if len(codes) else 1

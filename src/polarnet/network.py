@@ -17,13 +17,15 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 from xml.etree import ElementTree
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # Sentinel for "link has no timestamp" inside int64 day arrays.
 MISSING_DAY = np.iinfo(np.int64).min
@@ -227,6 +229,9 @@ def symmetric_adjacency(n: int, src: np.ndarray, dst: np.ndarray, weight: np.nda
     link order, and the sum is mirrored, so the two entries are equal bit
     for bit.
     """
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.sparse import csr_matrix
+
     (lo, hi), sums = merge_links(weight, np.minimum(src, dst), np.maximum(src, dst))
     return csr_matrix(
         (np.concatenate([sums, sums]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),

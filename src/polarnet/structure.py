@@ -12,8 +12,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import UndefinedMetricError, ValidationError
 from .network import Layer, Partition, merge_links, symmetric_adjacency
@@ -77,6 +75,10 @@ def average_path_length(sub: GroupSubnetwork, *, symmetrize: bool = False) -> fl
     """
     if sub.n < 2:
         raise UndefinedMetricError("path length needs at least 2 nodes")
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     graph = csr_matrix((np.ones(sub.n_links), (sub.src, sub.dst)), shape=(sub.n, sub.n))
     dist = shortest_path(graph, directed=not symmetrize, unweighted=True)
     reached = np.isfinite(dist) & (dist > 0)

@@ -19,8 +19,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from scipy.special import chdtrc
-
 from .errors import ParseError, UndefinedMetricError, ValidationError
 from .network import Partition, parse_date, read_table, read_text
 
@@ -201,6 +199,9 @@ def significance(
                 stat += 2.0 * cell * math.log(cell / expected)
         else:
             stat += (cell - expected) ** 2 / expected
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.special import chdtrc
+
     stat = max(stat, 0.0)
     return SignificanceResult(float(chdtrc(1, stat)), stat, False)
 

@@ -680,12 +680,40 @@ def test_format_json_emits_records(fixture_dir):
     assert payload[0]["q_party"] == float(format(expected, ".12g"))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone took most of the CLI's import time; nothing here needs it.
+# scipy submodules that a command imports where it first calls them; together
+# they took most of the CLI's import time.
+SCIPY_ON_DEMAND = ("scipy.stats", "scipy.sparse", "scipy.sparse.linalg",
+                   "scipy.sparse.csgraph", "scipy.linalg", "scipy.special")
+
+
+def _loaded_in_fresh_interpreter(code: str, *args: str) -> set[str]:
+    """The SCIPY_ON_DEMAND modules in sys.modules after ``code`` runs in a new process."""
     env = {**os.environ, "PYTHONPATH": str(Path(polarnet.__file__).resolve().parents[1])}
-    code = "import sys, polarnet.cli; print('scipy.stats' in sys.modules)"
+    code += f"; print(json.dumps([m for m in {SCIPY_ON_DEMAND!r} if m in sys.modules]))"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", "import json, sys; " + code, *args],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    for module in ("polarnet.cli", "polarnet"):
+        assert _loaded_in_fresh_interpreter(f"import {module}") == set(), module
+
+
+@pytest.mark.parametrize("command, extra, absent", [
+    ("layer-similarity", [], {"scipy.sparse", "scipy.special"}),
+    ("timeseries", ["--window-days", "10", "--step-days", "10"], {"scipy.sparse", "scipy.special"}),
+    ("demodularity", ["--min-group-size", "2", "--positions", "positions.csv"], {"scipy.sparse"}),
+    ("topics", ["--comments", "comments.csv", "--min-group-size", "4"], {"scipy.sparse"}),
+], ids=["layer-similarity", "timeseries", "demodularity", "topics"])
+def test_command_leaves_unused_scipy_modules_unloaded(fixture_dir, command, extra, absent):
+    layers = _base_args(fixture_dir, both_layers=command != "timeseries")
+    extra = [str(fixture_dir / arg) if arg.endswith(".csv") else arg for arg in extra]
+    loaded = _loaded_in_fresh_interpreter(
+        "from polarnet.cli import main; assert main(sys.argv[1:]) == 0",
+        command, *layers, *extra, "--out", str(fixture_dir / "out"),
+    )
+    assert not loaded & absent

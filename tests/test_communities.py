@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import layer_of, random_digraph
@@ -256,7 +257,8 @@ def test_arpack_non_convergence_is_flagged(monkeypatch):
     def stall(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(communities, "eigsh", stall)
+    # _leading_vector imports eigsh from scipy.sparse.linalg when it is called.
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
     # An s stage solves once, so it flags once whatever the script's count.
     for script in ("s-1", "s-10"):
         result = run_combo(layer, script)
