@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import layer_of, random_digraph
 from oracles import best_partition_oracle, eo_bisect_oracle, fast_greedy_oracle
@@ -255,7 +254,7 @@ def test_arpack_non_convergence_is_flagged(monkeypatch):
     layer, _ = _sparse_sized_planted_layer()
 
     def stall(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     # _leading_vector imports eigsh from scipy.sparse.linalg when it is called.
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
