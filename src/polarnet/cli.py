@@ -157,8 +157,8 @@ def _restrict_to_large_groups(
     network: MultiplexNetwork, partition: Partition, min_size: int
 ) -> tuple[MultiplexNetwork, Partition]:
     """Drop groups below min_size (members counted on the active registry)."""
-    active = [network.node_ids[i] for i in network.active_indices()]
-    sizes = np.bincount(partition.codes(active), minlength=len(partition.labels))
+    codes = partition.codes_on(network.node_ids)[network.active_indices()]
+    sizes = np.bincount(codes, minlength=len(partition.labels))
     if sizes.max() < min_size:
         raise ValidationError(
             f"no group reaches --min-group-size {min_size}; largest is {sizes.max()}"
@@ -274,13 +274,13 @@ def cmd_polarization(args: argparse.Namespace) -> int:
     rows: list[list[Any]] = []
     for variant_name, variant_index, exclude in variants:
         network, partition = _apply_unaligned_filter(run, exclude)
-        codes = partition.codes(network.node_ids)
         for layer_index, name in enumerate(run.layer_names):
             layer = network.layer(name)
             detection = _detect(args.out, layer, scripts, root_seed, layer_index, variant_index)
             point, *jack = _estimate(
-                args, q_modularity(layer, None, codes=codes),
-                lambda: leave_one_out_q(layer, codes, network.active_indices()))
+                args, q_modularity(layer, partition),
+                lambda: leave_one_out_q(layer, partition.codes_on(layer.node_ids),
+                                        network.active_indices()))
             rows.append(
                 [
                     name,

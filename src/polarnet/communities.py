@@ -117,8 +117,7 @@ class DetectionResult:
     ) -> "DetectionResult":
         """Wrap canonical ``codes`` over ``node_ids`` and their directed Q."""
         labels = tuple(f"c{k}" for k in range(int(codes.max()) + 1))
-        assignment = {node: labels[codes[i]] for i, node in enumerate(node_ids)}
-        return cls(Partition.from_assignment(assignment, labels), q, script, seed, len(labels), flags)
+        return cls(Partition(tuple(node_ids), codes, labels), q, script, seed, len(labels), flags)
 
 
 class _Problem(ScaledLayer):
@@ -556,7 +555,7 @@ def derive_seed(root: int, *path: int) -> int:
 def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
     """Single-node move refinement of a starting partition; Q never drops."""
     problem = _Problem(layer)
-    codes = _reposition(problem, start.codes(layer.node_ids))
+    codes = _reposition(problem, start.codes_on(layer.node_ids))
     return DetectionResult.from_codes(layer.node_ids, "r-1", None, codes, problem.q(codes))
 
 

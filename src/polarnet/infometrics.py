@@ -284,7 +284,7 @@ def partition_nmi(
     if len(nodes) == 0:
         raise ValidationError("empty node universe")
     na, nb = len(a.labels), len(b.labels)
-    pairs = a.codes(nodes) * nb + b.codes(nodes)
+    pairs = a.codes_on(nodes) * nb + b.codes_on(nodes)
     mi, ha, hb = _table_information(np.bincount(pairs, minlength=na * nb).reshape(na, nb), estimator)
     return _normalized(mi.raw, ha), _normalized(mi.raw, hb)
 

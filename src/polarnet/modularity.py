@@ -74,15 +74,15 @@ def q_modularity(
 ) -> float:
     """Directed Q = (1/m) * sum_ij [A_ij - k_out_i * k_in_j / m] delta(c_i, c_j).
 
-    ``codes`` may carry a precomputed group code per registry index (aligned
-    with ``partition.labels``) to skip the per-node label lookups; with codes
-    supplied the partition itself may be None, and the groups are 0..max(codes).
+    ``codes``, one group code per registry index, may stand in for the
+    partition, which is then None and the groups 0..max(codes); the CLI
+    passes partitions, and ``leave_one_out_q`` codes.
     """
     view = ScaledLayer(layer)
     if codes is None:
         if partition is None:
             raise ValidationError("need a partition or precomputed codes")
-        codes = partition.codes(layer.node_ids)
+        codes = partition.codes_on(layer.node_ids)
     return view.q(codes, len(partition.labels) if partition is not None else None)
 
 
@@ -217,7 +217,7 @@ def demodularity_matrix(
     if len(partition.labels) < 2:
         raise ValidationError("demodularity needs at least two groups")
     view = ScaledLayer(layer)
-    codes = partition.codes(layer.node_ids)
+    codes = partition.codes_on(layer.node_ids)
     groups = len(partition.labels)
     cross = np.zeros((groups, groups))
     np.add.at(cross, (codes[view.src], codes[view.dst]), view.w)
@@ -247,7 +247,7 @@ def decomposition_residual(layer: Layer, partition: Partition) -> float:
     """
     matrix = demodularity_matrix(layer, partition, normalization="out_weight")
     view = ScaledLayer(layer)
-    codes = partition.codes(layer.node_ids)
+    codes = partition.codes_on(layer.node_ids)
     groups = len(partition.labels)
     norms = _group_normalizers(view, codes, groups, "out_weight")
     total = view.m * view.q(codes, groups)

@@ -3,8 +3,9 @@
 A network is a shared node registry plus named directed layers.  Layers are
 read from CSV files into row columns, built by ``Layer.from_columns``, carry
 optional per-link weights and calendar-day timestamps, and are stored as dense
-index arrays so whole-layer metrics stay vectorized.  Partitions assign every node a group label and are the common
-currency between the party tables and the community detection output.
+index arrays so whole-layer metrics stay vectorized.  A partition holds one
+int64 group code per node of a registry, indexing its labels; it is the
+common currency between the party tables and the community detection output.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 from xml.etree import ElementTree
@@ -480,73 +482,90 @@ def read_merge_config(path: str | Path) -> PartyMergeConfig:
     return PartyMergeConfig(mapping, unaligned)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Total assignment of node ids to group labels."""
+    """A group label for every node of one registry, held as group codes.
 
-    assignment: Mapping[str, str]
+    ``codes[i]`` is the group of ``node_ids[i]`` and indexes ``labels``, which
+    are distinct.  ``from_assignment`` builds one from a node -> label dict.
+    Equal partitions have equal registries, labels and codes.
+    """
+
+    node_ids: tuple[str, ...]
+    codes: np.ndarray
     labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        codes = np.asarray(self.codes)
+        if not len(self.node_ids):
+            raise ValidationError("partition needs at least one node")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError("partition labels must be distinct")
+        if (codes.shape != (len(self.node_ids),) or codes.dtype.kind not in "iu"
+                or codes.min() < 0 or codes.max() >= len(self.labels)):
+            raise ValidationError(f"partition needs one integer code in [0, {len(self.labels)}) per node")
+        # An owned read-only copy, since codes_on hands out the array itself.
+        object.__setattr__(self, "codes", codes.astype(np.int64))
+        self.codes.flags.writeable = False
 
     @classmethod
     def from_assignment(
         cls, assignment: Mapping[str, str], labels: Sequence[str] | None = None
     ) -> "Partition":
-        if not assignment:
-            raise ValidationError("partition needs at least one node")
-        if labels is None:
-            seen: dict[str, None] = {}
-            for label in assignment.values():
-                seen.setdefault(label, None)
-            labels = tuple(seen)
-        else:
-            labels = tuple(labels)
-            if len(set(labels)) != len(labels):
-                raise ValidationError("partition labels must be distinct")
-            missing = set(assignment.values()) - set(labels)
-            if missing:
-                raise ValidationError(f"labels {sorted(missing)!r} assigned but not declared")
-        return cls(dict(assignment), labels)
+        """The partition of ``assignment``'s nodes, in its order; ``labels``
+        (default: first-seen order) must declare every label assigned."""
+        labels = tuple(dict.fromkeys(assignment.values()) if labels is None else labels)
+        missing = set(assignment.values()) - set(labels)
+        if missing:
+            raise ValidationError(f"labels {sorted(missing)!r} assigned but not declared")
+        code = {label: i for i, label in enumerate(labels)}
+        codes = np.array([code[label] for label in assignment.values()], dtype=np.int64)
+        return cls(tuple(assignment), codes, labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (self.node_ids == other.node_ids and self.labels == other.labels
+                and np.array_equal(self.codes, other.codes))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Registry position of each node id."""
+        return {node: i for i, node in enumerate(self.node_ids)}
+
+    @property
+    def assignment(self) -> dict[str, str]:
+        """A new node -> label dict, in registry order."""
+        return dict(zip(self.node_ids, map(self.labels.__getitem__, self.codes.tolist())))
 
     def label_of(self, node: str) -> str:
-        try:
-            return self.assignment[node]
-        except KeyError:
-            raise ValidationError(f"node {node!r} missing from partition") from None
+        return self.labels[self.codes_on((node,))[0]]
 
-    def codes(self, node_ids: Sequence[str]) -> np.ndarray:
-        """Group code per node, indexing ``labels``.
+    def codes_on(self, node_ids: Sequence[str]) -> np.ndarray:
+        """The group code of each of ``node_ids``: ``codes`` itself when they
+        are this partition's registry, else gathered through ``index``.
 
-        Raises ValidationError for a node missing from the partition or a
-        label that ``labels`` does not declare.
+        Raises ValidationError for a node missing from the partition.
         """
-        label_code = {label: i for i, label in enumerate(self.labels)}
+        if node_ids is self.node_ids or (node_ids := tuple(node_ids)) == self.node_ids:
+            return self.codes
         try:
-            return np.array(
-                [label_code[self.label_of(node)] for node in node_ids], dtype=np.int64
-            )
+            return self.codes[[self.index[node] for node in node_ids]]
         except KeyError as exc:
-            raise ValidationError(f"label {exc.args[0]!r} not in partition labels") from None
+            raise ValidationError(f"node {exc.args[0]!r} missing from partition") from None
 
 
 def apply_party_merge(raw_affiliations: Mapping[str, str], config: PartyMergeConfig) -> Partition:
-    """Label every node with its canonical party; unmapped raws go unaligned."""
-    assignment: dict[str, str] = {}
-    used: dict[str, None] = {}
-    for node, raw in raw_affiliations.items():
-        label = config.mapping.get(raw.strip(), config.unaligned_label)
-        assignment[node] = label
-        used.setdefault(label, None)
-    # Canonical ordering: config value order first, unaligned last.
-    order: dict[str, None] = {}
-    for value in config.mapping.values():
-        if value in used:
-            order.setdefault(value, None)
-    for label in used:
-        if label != config.unaligned_label:
-            order.setdefault(label, None)
-    if config.unaligned_label in used:
-        order[config.unaligned_label] = None
-    return Partition.from_assignment(assignment, tuple(order))
+    """Label every node with its canonical party; unmapped raws go unaligned.
+    Labels follow the config's value order, then the unaligned label."""
+    names = [config.mapping.get(raw.strip(), config.unaligned_label)
+             for raw in raw_affiliations.values()]
+    used = set(names)
+    order = dict.fromkeys([*config.mapping.values(), config.unaligned_label])
+    labels = tuple(label for label in order if label in used)
+    code = {label: i for i, label in enumerate(labels)}
+    codes = np.array([code[name] for name in names], dtype=np.int64)
+    return Partition(tuple(raw_affiliations), codes, labels)
 
 
 # -- the multiplex network -------------------------------------------------
@@ -634,8 +653,7 @@ class MultiplexNetwork:
         keep = set(keep_ids)
         registry = tuple(node for node in self.node_ids if node in keep)
         lut = np.full(len(self.node_ids), -1, dtype=np.int64)
-        for i, node in enumerate(registry):
-            lut[self.index[node]] = i
+        lut[[self.index[node] for node in registry]] = np.arange(len(registry))
         new_layers = {}
         for name, layer in self.layers.items():
             mask = (lut[layer.src] >= 0) & (lut[layer.dst] >= 0)
@@ -647,25 +665,19 @@ class MultiplexNetwork:
 def filter_partition(
     network: MultiplexNetwork, partition: Partition, drop_label: str
 ) -> tuple[MultiplexNetwork, Partition]:
-    """Remove every node carrying drop_label, with all incident links."""
-    keep_ids = []
-    dropped = False
-    for node in network.node_ids:
-        if network.index[node] in network.inactive:
-            continue
-        if partition.label_of(node) == drop_label:
-            dropped = True
-        else:
-            keep_ids.append(node)
-    if not dropped and drop_label not in partition.labels:
+    """Remove every node carrying drop_label, with all incident links; the
+    partition labels the network's whole registry, and so does the result."""
+    codes = partition.codes_on(network.node_ids)
+    if drop_label not in partition.labels:
         return network, partition
-    if not keep_ids:
+    drop = partition.labels.index(drop_label)
+    keep = codes != drop
+    keep[list(network.inactive)] = False
+    if not keep.any():
         raise ValidationError(f"dropping {drop_label!r} removes every node")
-    new_assignment = {
-        node: label for node, label in partition.assignment.items() if label != drop_label
-    }
-    new_labels = tuple(label for label in partition.labels if label != drop_label)
-    return network.induced(keep_ids), Partition.from_assignment(new_assignment, new_labels)
+    filtered = network.induced(itertools.compress(network.node_ids, keep))
+    labels = partition.labels[:drop] + partition.labels[drop + 1:]
+    return filtered, Partition(filtered.node_ids, (codes - (codes > drop))[keep], labels)
 
 
 # -- synthetic graphs ------------------------------------------------------
@@ -689,10 +701,10 @@ def generate_planted_partition(
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ValidationError("need 0 <= p_out < p_in <= 1")
     n = groups * size
-    labels = np.repeat(np.arange(groups), size)
+    codes = np.repeat(np.arange(groups, dtype=np.int64), size)
     rng = np.random.default_rng(seed)
     draw = rng.random((n, n))
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    prob = np.where(codes[:, None] == codes[None, :], p_in, p_out)
     adjacency = draw < prob
     np.fill_diagonal(adjacency, False)
     src, dst = np.nonzero(adjacency)  # row-major: sorted by (src, dst)
@@ -706,10 +718,8 @@ def generate_planted_partition(
         None,
         False,
     )
-    assignment = {node_ids[i]: f"g{labels[i]}" for i in range(n)}
-    partition = Partition.from_assignment(assignment, tuple(f"g{k}" for k in range(groups)))
     network = MultiplexNetwork.assemble([layer], node_table=None)
-    return network, partition
+    return network, Partition(network.node_ids, codes, tuple(f"g{k}" for k in range(groups)))
 
 
 # -- graph export ----------------------------------------------------------
@@ -736,12 +746,11 @@ def export_graphml(
     key("d2", "edge", "weight", "double")
     key("d3", "edge", "date", "string")
     graph = ElementTree.SubElement(root, "graph", id="network", edgedefault="directed")
+    codes = None if partition is None else partition.codes_on(network.node_ids)
     for i in network.active_indices():
-        node = network.node_ids[i]
-        el = ElementTree.SubElement(graph, "node", id=node)
-        if partition is not None:
-            data = ElementTree.SubElement(el, "data", key="d0")
-            data.text = partition.label_of(node)
+        el = ElementTree.SubElement(graph, "node", id=network.node_ids[i])
+        if codes is not None:
+            ElementTree.SubElement(el, "data", key="d0").text = partition.labels[codes[i]]
     for name in network.layers:
         for link in network.layers[name].links():
             el = ElementTree.SubElement(graph, "edge", source=link.source, target=link.target)

@@ -152,7 +152,7 @@ def detection(out: str | Path, layer: Layer, scripts: Sequence[ComboScript], see
 
     def encode(found: DetectionResult) -> dict[str, np.ndarray]:
         meta = {"script": found.script, "seed": found.seed, "flags": list(found.flags)}
-        return {"codes": found.partition.codes(layer.node_ids), "q": np.float64(found.q),
+        return {"codes": found.partition.codes_on(layer.node_ids), "q": np.float64(found.q),
                 "meta": _bytes(json.dumps(meta).encode())}
 
     return _cached(out, "detection", parts, decode, detect, encode)

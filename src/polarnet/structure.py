@@ -40,7 +40,7 @@ def group_subnetwork(layer: Layer, partition: Partition, label: str) -> GroupSub
     """Induce the subgraph of the given group on a layer."""
     if label not in partition.labels:
         raise ValidationError(f"label {label!r} not in partition labels")
-    local = np.flatnonzero(partition.codes(layer.node_ids) == partition.labels.index(label))
+    local = np.flatnonzero(partition.codes_on(layer.node_ids) == partition.labels.index(label))
     if not len(local):
         raise ValidationError(f"group {label!r} has no nodes on layer {layer.name!r}")
     lut = np.full(len(layer.node_ids), -1, dtype=np.int64)
@@ -168,7 +168,7 @@ def structure_report(
     """
     if min_group_size < 2:
         raise ValidationError("min_group_size must be at least 2")
-    counts = np.bincount(partition.codes(layer.node_ids), minlength=len(partition.labels))
+    counts = np.bincount(partition.codes_on(layer.node_ids), minlength=len(partition.labels))
     rows = []
     for label, count in zip(partition.labels, counts.tolist()):
         if count < min_group_size:

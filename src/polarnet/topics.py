@@ -234,13 +234,11 @@ def topic_report(
     surface: dict[str, dict[str, int]] = {}
     comment_count: dict[str, int] = {label: 0 for label in partition.labels}
     users: dict[str, set[str]] = {label: set() for label in partition.labels}
+    index, codes = partition.index, partition.codes.tolist()
     for record in comments:
-        try:
-            label = partition.label_of(record.author)
-        except ValidationError:
-            raise ValidationError(
-                f"comment author {record.author!r} has no group label"
-            ) from None
+        if record.author not in index:
+            raise ValidationError(f"comment author {record.author!r} has no group label")
+        label = partition.labels[codes[index[record.author]]]
         comment_count[label] += 1
         users[label].add(record.author)
         counts = group_counts[label]
@@ -317,11 +315,4 @@ def corpus_for_groups(
     comments: Iterable[CommentRecord], partition: Partition
 ) -> list[CommentRecord]:
     """Keep only comments whose author has a label in the partition."""
-    kept = []
-    for record in comments:
-        try:
-            partition.label_of(record.author)
-        except ValidationError:
-            continue
-        kept.append(record)
-    return kept
+    return [record for record in comments if record.author in partition.index]

@@ -7,14 +7,16 @@ modularity null model sums over every ordered node pair including i = j),
 the convention is restated in the oracle's docstring.  The ``*_reference``
 functions and ``eo_bisect_oracle`` are the exception: they keep a replaced
 numpy path verbatim, so a test can demand bit-identical results from its
-successor.
+successor, and so do ``DictPartition``, ``apply_party_merge_oracle`` and
+``filter_partition_oracle``, the node -> label dict form of a partition.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -628,3 +630,99 @@ def eo_bisect_oracle(problem, sub, rng, *, tau: float = 1.4, tol: float = 1e-12)
     if best_gain > tol and 0 < best_sides.sum() < s:
         return best_sides
     return None
+
+
+class OracleError(Exception):
+    """Raised where the replaced code raised ValidationError, with its text."""
+
+
+@dataclass(frozen=True)
+class DictPartition:
+    """Total assignment of node ids to group labels, as a dict."""
+
+    assignment: Mapping[str, str]
+    labels: tuple[str, ...]
+
+    @classmethod
+    def from_assignment(
+        cls, assignment: Mapping[str, str], labels: Sequence[str] | None = None
+    ) -> "DictPartition":
+        if not assignment:
+            raise OracleError("partition needs at least one node")
+        if labels is None:
+            seen: dict[str, None] = {}
+            for label in assignment.values():
+                seen.setdefault(label, None)
+            labels = tuple(seen)
+        else:
+            labels = tuple(labels)
+            if len(set(labels)) != len(labels):
+                raise OracleError("partition labels must be distinct")
+            missing = set(assignment.values()) - set(labels)
+            if missing:
+                raise OracleError(f"labels {sorted(missing)!r} assigned but not declared")
+        return cls(dict(assignment), labels)
+
+    def label_of(self, node: str) -> str:
+        try:
+            return self.assignment[node]
+        except KeyError:
+            raise OracleError(f"node {node!r} missing from partition") from None
+
+    def codes(self, node_ids: Sequence[str]) -> np.ndarray:
+        """Group code per node, indexing ``labels``."""
+        label_code = {label: i for i, label in enumerate(self.labels)}
+        try:
+            return np.array(
+                [label_code[self.label_of(node)] for node in node_ids], dtype=np.int64
+            )
+        except KeyError as exc:
+            raise OracleError(f"label {exc.args[0]!r} not in partition labels") from None
+
+
+def apply_party_merge_oracle(
+    raw_affiliations: Mapping[str, str], mapping: Mapping[str, str], unaligned_label: str
+) -> DictPartition:
+    """Label every node with its canonical party; unmapped raws go unaligned."""
+    assignment: dict[str, str] = {}
+    used: dict[str, None] = {}
+    for node, raw in raw_affiliations.items():
+        label = mapping.get(raw.strip(), unaligned_label)
+        assignment[node] = label
+        used.setdefault(label, None)
+    order: dict[str, None] = {}
+    for value in mapping.values():
+        if value in used:
+            order.setdefault(value, None)
+    for label in used:
+        if label != unaligned_label:
+            order.setdefault(label, None)
+    if unaligned_label in used:
+        order[unaligned_label] = None
+    return DictPartition.from_assignment(assignment, tuple(order))
+
+
+def filter_partition_oracle(
+    node_ids: Sequence[str], inactive: Iterable[int], partition: DictPartition, drop_label: str
+) -> tuple[list[str] | None, DictPartition]:
+    """(ids of the kept nodes, in registry order, or None when the network is
+    returned as it is; the partition without ``drop_label``)."""
+    inactive = set(inactive)
+    keep_ids = []
+    dropped = False
+    for i, node in enumerate(node_ids):
+        if i in inactive:
+            continue
+        if partition.label_of(node) == drop_label:
+            dropped = True
+        else:
+            keep_ids.append(node)
+    if not dropped and drop_label not in partition.labels:
+        return None, partition
+    if not keep_ids:
+        raise OracleError(f"dropping {drop_label!r} removes every node")
+    new_assignment = {
+        node: label for node, label in partition.assignment.items() if label != drop_label
+    }
+    new_labels = tuple(label for label in partition.labels if label != drop_label)
+    return keep_ids, DictPartition.from_assignment(new_assignment, new_labels)

@@ -385,7 +385,7 @@ def test_jackknife_cells_equal_brute_force_jackknife(fixture_dir):
         net, part = network, partition
         if row["variant"] == "excl_unaligned":
             net, part = filter_partition(network, partition, merge.unaligned_label)
-        codes = part.codes(net.node_ids)
+        codes = part.codes_on(net.node_ids)
         metric = lambda sub, name=row["layer"]: q_modularity(sub.layer(name), None, codes=codes)
         assert [row["jack_mean"], row["two_sigma"], row["unreliable"]] == cells(metric, net)
 

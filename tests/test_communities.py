@@ -282,7 +282,7 @@ def test_spectral_side_of_unlinked_node_ignores_rounding(monkeypatch):
 
         monkeypatch.setattr(communities, "_leading_vector", noisy)
         sides.append(communities._spectral_split(problem, np.arange(8)).tolist())
-        codes.append(run_combo(layer, "s-1").partition.codes(layer.node_ids).tolist())
+        codes.append(run_combo(layer, "s-1").partition.codes_on(layer.node_ids).tolist())
     assert sides[0] == sides[1]
     assert sides[0][6:] == [1, 1]
     assert codes[0] == codes[1]

@@ -127,6 +127,6 @@ def test_weights_scaled_by_a_power_of_two_give_bit_identical_scores(case, k):
     for script in ("f-1", "r-1", "s-1", "e-1"):
         found, again = run_combo(layer, script, seed=1), run_combo(scaled, script, seed=1)
         assert again.q.hex() == found.q.hex()
-        assert again.partition.codes(scaled.node_ids).tolist() == found.partition.codes(
+        assert again.partition.codes_on(scaled.node_ids).tolist() == found.partition.codes_on(
             layer.node_ids
         ).tolist()

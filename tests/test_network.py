@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import columns, ids, layer_of
-from oracles import layer_merge_oracle, symmetric_adjacency_oracle
+from oracles import (
+    DictPartition,
+    OracleError,
+    apply_party_merge_oracle,
+    filter_partition_oracle,
+    layer_merge_oracle,
+    symmetric_adjacency_oracle,
+)
 from polarnet.errors import ParseError, ValidationError
 from polarnet.network import (
     MISSING_DAY,
@@ -352,14 +359,29 @@ def test_partition_validation():
 
 def test_partition_codes_follow_label_order():
     part = Partition.from_assignment({"a": "x", "b": "y", "c": "x"}, labels=("y", "x"))
-    assert part.codes(["a", "b", "c"]).tolist() == [1, 0, 1]
-    assert part.codes(["c"]).dtype == np.int64
+    assert part.codes.tolist() == [1, 0, 1]
+    assert part.codes_on(["c", "a"]).tolist() == [1, 1]
+    assert part.codes_on(iter(["c", "a"])).tolist() == [1, 1]
+    assert part.codes_on(["c"]).dtype == np.int64
+    assert part.codes_on(("a", "b", "c")) is part.codes
     with pytest.raises(ValidationError, match="zzz"):
-        part.codes(["a", "zzz"])
-    # The dataclass constructor skips from_assignment's label check.
-    undeclared = Partition({"a": "x", "b": "w"}, ("x",))
-    with pytest.raises(ValidationError, match="'w'"):
-        undeclared.codes(["a", "b"])
+        part.codes_on(["a", "zzz"])
+    # A code that no label declares is rejected when the partition is built.
+    with pytest.raises(ValidationError, match=r"\[0, 1\)"):
+        Partition(("a", "b"), np.array([0, 1]), ("x",))
+
+
+def test_partitions_compare_by_value_and_keep_their_codes():
+    part = Partition(("a", "b", "c"), np.array([1, 0, 1]), ("y", "x"))
+    assert part == Partition.from_assignment({"a": "x", "b": "y", "c": "x"}, labels=("y", "x"))
+    assert part != Partition(("a", "b", "c"), np.array([1, 0, 0]), ("y", "x"))
+    assert part != Partition(("a", "c", "b"), np.array([1, 0, 1]), ("y", "x"))
+    with pytest.raises(ValueError):
+        part.codes_on(("a", "b", "c"))[0] = 0
+    with pytest.raises(ValidationError):
+        Partition(("a", "b"), np.array([0]), ("x",))
+    with pytest.raises(ValidationError):
+        Partition(("a",), np.array([0.0]), ("x",))
 
 
 # -- multiplex assembly ----------------------------------------------------
@@ -425,6 +447,89 @@ def test_filter_partition():
     all_gone = Partition.from_assignment({f"n{i}": "x" for i in range(4)}, ("x",))
     with pytest.raises(ValidationError):
         filter_partition(network, all_gone, "x")
+
+
+_RAWS = ("a1", " a1 ", "a2", "b", "x", "")
+_LABELS = ("A", "B", "C", "unaligned")
+
+
+def _outcome(call):
+    """``call()``'s result, or the text of the ValidationError/OracleError it raised."""
+    try:
+        return call()
+    except (ValidationError, OracleError) as exc:
+        return f"raised {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raws=st.lists(st.sampled_from(_RAWS), min_size=1, max_size=7),
+    order=st.randoms(use_true_random=False),
+    # Indices past the registry name no node, so most draws miss none or drop none.
+    missing=st.sets(st.integers(0, 13), max_size=1),
+    mapping=st.dictionaries(st.sampled_from(_RAWS[:-1]), st.sampled_from(_LABELS),
+                            min_size=1, max_size=5),
+    unaligned=st.sampled_from(_LABELS),
+    spare=st.booleans(),
+    links=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10),
+    dropped=st.sets(st.integers(0, 13), max_size=2),
+    drop_label=st.sampled_from(_LABELS + ("spare", "absent")),
+)
+def test_partition_codes_equal_the_dict_form(
+    raws, order, missing, mapping, unaligned, spare, links, dropped, drop_label
+):
+    """Codes, ``apply_party_merge`` and ``filter_partition`` match the node -> label
+    dict form they replaced, errors included, on a registry that the partition
+    lists in another order and that ``drop_node`` may have thinned."""
+    n = len(raws)
+    registry = tuple(f"v{i}" for i in range(n))
+    shuffled = list(range(n))
+    order.shuffle(shuffled)
+    raw = {registry[i]: raws[i] for i in shuffled if i not in missing}
+    ends = [(registry[s % n], registry[t % n]) for s, t in links]
+    layer = Layer.from_columns("links", [s for s, _ in ends], [t for _, t in ends],
+                               [1.0] * len(ends), [MISSING_DAY] * len(ends),
+                               weighted=False, node_ids=registry)
+    network = MultiplexNetwork.assemble([layer], dict.fromkeys(registry, ""))
+    assert network.node_ids == registry
+    for v in sorted(v for v in dropped if v < n):
+        network = network.drop_node(v)
+
+    new = _outcome(lambda: apply_party_merge(raw, PartyMergeConfig(mapping, unaligned)))
+    old = _outcome(lambda: apply_party_merge_oracle(raw, mapping, unaligned))
+    if isinstance(old, str):
+        assert new == old
+        return
+    if spare:
+        new = Partition.from_assignment(new.assignment, new.labels + ("spare",))
+        old = DictPartition.from_assignment(old.assignment, old.labels + ("spare",))
+    assert new.labels == old.labels
+    assert new.assignment == old.assignment
+    codes = _outcome(lambda: new.codes_on(registry))
+    expected = _outcome(lambda: old.codes(registry))
+    assert codes == expected if isinstance(codes, str) else codes.tolist() == expected.tolist()
+
+    got = _outcome(lambda: filter_partition(network, new, drop_label))
+    want = _outcome(lambda: filter_partition_oracle(network.node_ids, network.inactive, old,
+                                                    drop_label))
+    if any(registry[v] not in raw for v in network.inactive):
+        # The partition must label inactive nodes too, which the dict form skipped.
+        first = next(node for node in registry if node not in raw)
+        assert got == f"raised node {first!r} missing from partition"
+        return
+    if isinstance(want, str):
+        assert got == want
+        return
+    (filtered, part), (keep_ids, kept) = got, want
+    if keep_ids is None:
+        assert filtered is network and part is new
+        return
+    assert filtered.node_ids == tuple(keep_ids)
+    reference = network.induced(keep_ids).layer("links")
+    assert filtered.layer("links").src.tolist() == reference.src.tolist()
+    assert filtered.layer("links").dst.tolist() == reference.dst.tolist()
+    assert part.labels == kept.labels
+    assert part.codes_on(filtered.node_ids).tolist() == kept.codes(filtered.node_ids).tolist()
 
 
 # -- synthetic graphs and GraphML -----------------------------------------
