@@ -6,9 +6,13 @@ Four building blocks, combinable into combo scripts like "esrfr-30":
   singletons, repeatedly apply the merge with the largest modularity gain,
   ties to the smallest (lo, hi) pair, until none is positive.  Each
   community row keeps its best gain and partner, or only an upper bound on
-  its gains once it loses that partner; a merge recomputes only the
-  survivor's row, and a row whose bound reaches the top is recomputed
-  before it is merged.
+  its gains once it may have lost that partner.  A merge recomputes the
+  survivor's row; only the absorbed row's old neighbours can take the
+  survivor as their best partner, since no other gain towards it can rise
+  (its weight stays, its penalty grows and rounding is monotone), and only
+  rows whose partner was one of the pair turn stale.  A stale row is
+  recomputed when it first holds the largest value.  Short rows are
+  recomputed in Python floats, long ones with numpy, by the same operations.
 * ``s`` spectral bisection: recursive leading-eigenvector splits of the
   symmetrized modularity matrix, found by LAPACK ``eigh`` on the dense
   matrix of a small subgraph and by ARPACK ``eigsh``, from one fixed start
@@ -54,6 +58,7 @@ DEFAULT_PORTFOLIO = ("e-1", "esrfr-30", "r-1", "f-1", "s-10", "rfr-1", "rsrfr-30
 EO_TAU = 1.4
 IMPROVE_TOL = 1e-12
 _DENSE_LIMIT = 512  # largest subgraph solved with a dense modularity matrix
+_SCALAR_ROW = 96  # shortest greedy row recomputed with numpy rather than Python floats
 
 
 class _NoConvergence(Exception):
@@ -160,93 +165,124 @@ def _fast_greedy(problem: _Problem) -> np.ndarray:
     gain, ties going to the smallest (lo, hi) pair, until no gain exceeds
     ``IMPROVE_TOL``.  Each row x holds ``best_gain[x]``: either its exact
     best gain, with ``best_to[x]`` the partner (ties to the smaller), or,
-    when ``stale[x]``, an upper bound on every gain of the row.
+    when ``stale[x]``, an upper bound on every gain of the row.  The merges
+    depend only on the true gains and the tie rule, never on which rows are
+    exact, as long as every row keeps that invariant.  Three rules keep it
+    while doing only the work a merge can change.
 
-    A merge of b into a recomputes row a alone.  Any other pair changes only
-    if it touches a or b, so a neighbour x keeps its other gains.  If x is
-    exact, they are all at most its best, and at that best their partner is
-    above a; a gain towards a at least as high becomes its best.  If x is
-    stale, they are all at most its bound; a gain towards a strictly above
-    it is its exact best.  An exact x whose best partner was a or b and that
-    does not take a keeps its old best as a bound and turns stale.
-
-    A merge comes from the first row holding the largest value.  If that row
-    is stale, every stale row whose bound reaches the largest exact best is
-    recomputed first, and the pick is made again.  Once the first row a is
-    exact, its best is at least every row's true best, and every earlier
-    row's value, bound or exact, is strictly below it.  A tied pair (y, x)
-    with y < a would hold that gain in row y, so a's best pair is still the
-    smallest tied (lo, hi), and the merges are those of the heap order.
+    * Lazy stale pick.  A merge comes from the first row holding the
+      largest value.  If that row is stale, it alone is recomputed and the
+      pick is made again.  Once the first row a is exact, its best is at
+      least every row's true best, and every earlier row's value, bound or
+      exact, is strictly below it.  A tied pair (y, x) with y < a would hold
+      that gain in row y, so a's best pair is the smallest tied (lo, hi),
+      and the merges are those of the heap order.
+    * Update from the absorbed row.  A merge of b into a recomputes row a
+      and changes no other pair but those with a.  For a neighbour x of a
+      that was not b's, gain(x, a) cannot rise: the link weight is
+      unchanged, k_out[a] and k_in[a] only grow, and rounding is monotone,
+      so the penalty term rounds no lower.  Its old best or bound still
+      holds, and at a tie its partner is already at most a.  So only b's old
+      neighbours can take a: an exact x does when its gain towards a
+      reaches its best at a partner above a, a stale x when it exceeds its
+      bound.  An exact x whose best partner was a or b and that does not
+      take a keeps its old best as a bound and turns stale; ``pointed[p]``
+      holds every exact row whose partner is p (and some rows no longer so).
+    * Scalar short rows.  A row shorter than ``_SCALAR_ROW`` is recomputed
+      with Python floats, a longer one with numpy; both do the same IEEE
+      operations in the same order, so gain(x, y) == gain(y, x) bit for bit
+      whichever row computes it.
     """
     n, m = problem.n, problem.m
+    mm = m * m
     k_out, k_in = problem.k_out.copy(), problem.k_in.copy()
+    kout, kin = k_out.tolist(), k_in.tolist()
     adj = problem.adj
     spans = list(zip(adj.indptr.tolist(), adj.indptr[1:].tolist()))
     nbr, wboth = adj.indices.tolist(), adj.data.tolist()
     conn = [dict(zip(nbr[lo:hi], wboth[lo:hi])) for lo, hi in spans]
     members: list[list[int]] = [[i] for i in range(n)]
-    # Elementwise double arithmetic, here and in recompute, symmetric bit
-    # for bit: gain(x, y) == gain(y, x).
     sizes = np.diff(adj.indptr)
     own = np.repeat(np.arange(n), sizes)
-    gains = adj.data / m - (
-        k_out[own] * k_in[adj.indices] + k_out[adj.indices] * k_in[own]
-    ) / (m * m)
+    gains = adj.data / m - (k_out[own] * k_in[adj.indices] + k_out[adj.indices] * k_in[own]) / mm
     full = np.flatnonzero(sizes)
     best_gain = np.full(n, -np.inf)  # -inf marks a dead or empty row
     best_gain[full] = np.maximum.reduceat(gains, adj.indptr[full])
     best_to = np.full(n, -1, dtype=np.int64)
     tied = np.where(gains == np.repeat(best_gain, sizes), adj.indices, n)
     best_to[full] = np.minimum.reduceat(tied, adj.indptr[full])
-    stale = np.zeros(n, dtype=bool)
+    best_to = best_to.tolist()
+    stale = [False] * n
+    pointed: list[set[int]] = [set() for _ in range(n)]
+    for x in full.tolist():
+        pointed[best_to[x]].add(x)
 
-    def recompute(x: int) -> tuple[np.ndarray, np.ndarray]:
-        """Make row x (not empty) exact; returns its partners and gains."""
-        keys = np.fromiter(conn[x], np.int64, len(conn[x]))
-        gains = np.fromiter(conn[x].values(), np.float64, len(conn[x])) / m - (
-            k_out[x] * k_in[keys] + k_out[keys] * k_in[x]
-        ) / (m * m)
-        best_gain[x] = top = gains.max()
-        best_to[x] = keys[gains == top].min()
+    def recompute(x: int) -> None:
+        """Make row x (not empty) exact."""
+        row = conn[x]
+        if len(row) < _SCALAR_ROW:
+            ko, ki = kout[x], kin[x]
+            top, to = -np.inf, n
+            for y, w in row.items():
+                g = w / m - (ko * kin[y] + kout[y] * ki) / mm
+                if g > top or (g == top and y < to):
+                    top, to = g, y
+        else:
+            keys = np.fromiter(row, np.int64, len(row))
+            gains = np.fromiter(row.values(), np.float64, len(row)) / m - (
+                k_out[x] * k_in[keys] + k_out[keys] * k_in[x]
+            ) / mm
+            top = gains.max()
+            to = int(keys[gains == top].min())
+        best_gain[x] = top
+        best_to[x] = to
         stale[x] = False
-        return keys, gains
+        pointed[to].add(x)
 
     while True:
         a = int(best_gain.argmax())
         if best_gain[a] <= IMPROVE_TOL:
             break
         if stale[a]:
-            top = best_gain.max(where=~stale, initial=-np.inf)
-            for x in np.flatnonzero(stale & (best_gain >= top)).tolist():
-                recompute(x)
+            recompute(a)
             continue
-        b = int(best_to[a])
+        b = best_to[a]
         # Merge b into a; a < b keeps the smallest label as the survivor.
         members[a].extend(members[b])
         members[b] = []
-        k_out[a] += k_out[b]
-        k_in[a] += k_in[b]
-        del conn[a][b]
-        for x, wx in conn[b].items():
-            if x == a:
-                continue
-            conn[a][x] = conn[a].get(x, 0.0) + wx
-            conn[x][a] = conn[a][x]
-            del conn[x][b]
+        kout[a] += kout[b]
+        kin[a] += kin[b]
+        k_out[a], k_in[a] = kout[a], kin[a]
+        row_a, row_b = conn[a], conn[b]
+        del row_a[b], row_b[a]
+        for x, wx in row_b.items():
+            row_a[x] = w = row_a.get(x, 0.0) + wx
+            row_x = conn[x]
+            row_x[a] = w
+            del row_x[b]
         conn[b] = {}
         best_gain[b] = -np.inf
-        stale[b] = False
-        if not conn[a]:
+        if not row_a:
             best_gain[a] = -np.inf
             continue
-        keys, gains = recompute(a)
-        old, prev, bound = best_gain[keys], best_to[keys], stale[keys]
-        take = (gains > old) | ((gains == old) & (prev >= a) & ~bound)
-        # Marking a stale row again keeps its bound; a take overrides the mark.
-        stale[keys[(prev == a) | (prev == b)]] = True
-        best_gain[keys[take]] = gains[take]
-        best_to[keys[take]] = a
-        stale[keys[take]] = False
+        recompute(a)
+        ko, ki = kout[a], kin[a]
+        takes = []
+        for x in row_b:
+            g = row_a[x] / m - (ko * kin[x] + kout[x] * ki) / mm
+            old = best_gain[x]
+            if g > old or (g == old and not stale[x] and best_to[x] >= a):
+                takes.append((x, g))
+        for p in (a, b):
+            for x in pointed[p]:
+                if best_to[x] == p:
+                    stale[x] = True  # marking a stale row again keeps its bound
+            pointed[p] = set()
+        for x, g in takes:
+            best_gain[x] = g
+            best_to[x] = a
+            stale[x] = False
+            pointed[a].add(x)
     codes = np.empty(n, dtype=np.int64)
     for rep in range(n):
         for node in members[rep]:

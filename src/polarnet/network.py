@@ -190,21 +190,33 @@ class Layer:
         return self._masked(keep, node_count=self.node_count - 1)
 
     def remapped(self, node_ids: tuple[str, ...], lut: np.ndarray) -> "Layer":
-        """Re-express link endpoints against a new registry via a lookup table."""
+        """Re-express link endpoints against a new registry via a lookup table.
+
+        The rows are sorted by (source, target, day) again, stably.  When the
+        mapped rows are already in that order, as they are whenever ``lut``
+        is increasing, the sort would leave them in place and is skipped.
+        """
         src = lut[self.src]
         dst = lut[self.dst]
-        days = self.days
-        order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
-        order = np.lexsort((order_day, dst, src))
-        return Layer(
-            self.name,
-            node_ids,
-            src[order],
-            dst[order],
-            self.weight[order],
-            None if days is None else days[order],
-            self.weighted,
-        )
+        weight, days = self.weight, self.days
+        keys = (src, dst) if days is None else (src, dst, days)
+        if not _rows_in_order(keys):
+            order = np.lexsort(keys[::-1])
+            src, dst, weight = src[order], dst[order], weight[order]
+            days = None if days is None else days[order]
+        return Layer(self.name, node_ids, src, dst, weight, days, self.weighted)
+
+
+def _rows_in_order(keys: Sequence[np.ndarray]) -> bool:
+    """True when no row sorts before the row above it by ``keys``, the first
+    column sorting first."""
+    tie = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        if (tie & (after < before)).any():
+            return False
+        tie &= after == before
+    return True
 
 
 def merge_links(weight: np.ndarray, *keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -556,6 +556,124 @@ def similarity_replicates_reference(counts, estimator: str):
     return (scores[0], scores[1]), (scores[2], scores[3])
 
 
+def remapped_reference(layer, lut: np.ndarray) -> tuple:
+    """(src, dst, weight, days) of ``Layer.remapped``'s form that lexsorts the
+    mapped rows by (source, target, day) on every call."""
+    src = lut[layer.src]
+    dst = lut[layer.dst]
+    days = layer.days
+    order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
+    order = np.lexsort((order_day, dst, src))
+    return src[order], dst[order], layer.weight[order], None if days is None else days[order]
+
+
+def fast_greedy_reference(problem, *, tol: float = 1e-12) -> np.ndarray:
+    """Clauset-Newman-Moore agglomeration that updates the survivor's whole row
+    with numpy after every merge; the form ``communities._fast_greedy`` replaced.
+
+    ``problem`` supplies ``adj`` (the symmetrized CSR adjacency), ``k_out``,
+    ``k_in``, ``m`` and ``n``.  Returns codes relabeled 0..G-1 in order of
+    first appearance.
+
+    Every merge joins the pair of communities with the largest modularity
+    gain, ties going to the smallest (lo, hi) pair, until no gain exceeds
+    ``tol``.  Each row x holds ``best_gain[x]``: either its exact
+    best gain, with ``best_to[x]`` the partner (ties to the smaller), or,
+    when ``stale[x]``, an upper bound on every gain of the row.
+
+    A merge of b into a recomputes row a alone.  Any other pair changes only
+    if it touches a or b, so a neighbour x keeps its other gains.  If x is
+    exact, they are all at most its best, and at that best their partner is
+    above a; a gain towards a at least as high becomes its best.  If x is
+    stale, they are all at most its bound; a gain towards a strictly above
+    it is its exact best.  An exact x whose best partner was a or b and that
+    does not take a keeps its old best as a bound and turns stale.
+
+    A merge comes from the first row holding the largest value.  If that row
+    is stale, every stale row whose bound reaches the largest exact best is
+    recomputed first, and the pick is made again.  Once the first row a is
+    exact, its best is at least every row's true best, and every earlier
+    row's value, bound or exact, is strictly below it.  A tied pair (y, x)
+    with y < a would hold that gain in row y, so a's best pair is still the
+    smallest tied (lo, hi), and the merges are those of the heap order.
+    """
+    n, m = problem.n, problem.m
+    k_out, k_in = problem.k_out.copy(), problem.k_in.copy()
+    adj = problem.adj
+    spans = list(zip(adj.indptr.tolist(), adj.indptr[1:].tolist()))
+    nbr, wboth = adj.indices.tolist(), adj.data.tolist()
+    conn = [dict(zip(nbr[lo:hi], wboth[lo:hi])) for lo, hi in spans]
+    members: list[list[int]] = [[i] for i in range(n)]
+    # Elementwise double arithmetic, here and in recompute, symmetric bit
+    # for bit: gain(x, y) == gain(y, x).
+    sizes = np.diff(adj.indptr)
+    own = np.repeat(np.arange(n), sizes)
+    gains = adj.data / m - (
+        k_out[own] * k_in[adj.indices] + k_out[adj.indices] * k_in[own]
+    ) / (m * m)
+    full = np.flatnonzero(sizes)
+    best_gain = np.full(n, -np.inf)  # -inf marks a dead or empty row
+    best_gain[full] = np.maximum.reduceat(gains, adj.indptr[full])
+    best_to = np.full(n, -1, dtype=np.int64)
+    tied = np.where(gains == np.repeat(best_gain, sizes), adj.indices, n)
+    best_to[full] = np.minimum.reduceat(tied, adj.indptr[full])
+    stale = np.zeros(n, dtype=bool)
+
+    def recompute(x: int) -> tuple[np.ndarray, np.ndarray]:
+        """Make row x (not empty) exact; returns its partners and gains."""
+        keys = np.fromiter(conn[x], np.int64, len(conn[x]))
+        gains = np.fromiter(conn[x].values(), np.float64, len(conn[x])) / m - (
+            k_out[x] * k_in[keys] + k_out[keys] * k_in[x]
+        ) / (m * m)
+        best_gain[x] = top = gains.max()
+        best_to[x] = keys[gains == top].min()
+        stale[x] = False
+        return keys, gains
+
+    while True:
+        a = int(best_gain.argmax())
+        if best_gain[a] <= tol:
+            break
+        if stale[a]:
+            top = best_gain.max(where=~stale, initial=-np.inf)
+            for x in np.flatnonzero(stale & (best_gain >= top)).tolist():
+                recompute(x)
+            continue
+        b = int(best_to[a])
+        # Merge b into a; a < b keeps the smallest label as the survivor.
+        members[a].extend(members[b])
+        members[b] = []
+        k_out[a] += k_out[b]
+        k_in[a] += k_in[b]
+        del conn[a][b]
+        for x, wx in conn[b].items():
+            if x == a:
+                continue
+            conn[a][x] = conn[a].get(x, 0.0) + wx
+            conn[x][a] = conn[a][x]
+            del conn[x][b]
+        conn[b] = {}
+        best_gain[b] = -np.inf
+        stale[b] = False
+        if not conn[a]:
+            best_gain[a] = -np.inf
+            continue
+        keys, gains = recompute(a)
+        old, prev, bound = best_gain[keys], best_to[keys], stale[keys]
+        take = (gains > old) | ((gains == old) & (prev >= a) & ~bound)
+        # Marking a stale row again keeps its bound; a take overrides the mark.
+        stale[keys[(prev == a) | (prev == b)]] = True
+        best_gain[keys[take]] = gains[take]
+        best_to[keys[take]] = a
+        stale[keys[take]] = False
+    codes = np.empty(n, dtype=np.int64)
+    for rep in range(n):
+        for node in members[rep]:
+            codes[node] = rep
+    relabel: dict[int, int] = {}
+    return np.array([relabel.setdefault(c, len(relabel)) for c in codes.tolist()], dtype=np.int64)
+
+
 def eo_bisect_oracle(problem, sub, rng, *, tau: float = 1.4, tol: float = 1e-12):
     """One tau-EO bisection of ``sub`` that stable-sorts the fitness on every move.
 

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 import scipy.sparse.linalg
 
 from helpers import layer_of, random_digraph
-from oracles import best_partition_oracle, eo_bisect_oracle, fast_greedy_oracle
+from oracles import (
+    best_partition_oracle,
+    eo_bisect_oracle,
+    fast_greedy_oracle,
+    fast_greedy_reference,
+)
 from polarnet import communities
 from polarnet.communities import (
     DEFAULT_PORTFOLIO,
@@ -205,6 +210,79 @@ def test_fast_greedy_equals_heap_oracle_on_weighted_planted_layer():
     layer = layer_of(800, list(zip(src.tolist(), dst.tolist(), weights.tolist())), weighted=True)
     got, expected = _greedy_and_oracle(layer)
     assert got == expected
+
+
+def _greedy_both_paths_and_reference(layer):
+    """``_fast_greedy``'s codes with every row recomputed by numpy and with
+    every row recomputed in Python floats, and the replaced form's codes."""
+    problem = communities._Problem(layer)
+    got = []
+    for crossover in (0, problem.n + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(communities, "_SCALAR_ROW", crossover)
+            got.append(communities._fast_greedy(problem).tolist())
+    return got, fast_greedy_reference(problem, tol=communities.IMPROVE_TOL).tolist()
+
+
+# (source, target, k) over a registry whose nodes no link touches stay
+# isolated.  Unweighted links tie heavily; otherwise the weight is k times a
+# scale that makes the weight sums, degree products and gains round.
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    links=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 40)), min_size=1, max_size=60
+    ),
+    scale=st.sampled_from([None, 0.1, 1.37, 1e-3]),
+)
+@example(  # three lone links and two isolated nodes
+    n=8, links=[(0, 1, 1), (2, 3, 1), (5, 4, 1)], scale=None,
+)
+@example(  # a star whose leaves tie, joined to a triangle, with a self-link-only node
+    n=9, links=[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (7, 7, 1)],
+    scale=None,
+)
+@example(  # b's old neighbours take the survivor at tied gains; found against a take
+    # rule that skipped every second neighbour
+    n=7,
+    links=[(5, 6, 1), (0, 1, 1), (6, 0, 1), (2, 3, 1), (2, 6, 1), (4, 3, 1), (0, 4, 1), (1, 3, 1),
+           (3, 1, 1), (5, 1, 1), (3, 4, 1), (1, 4, 1), (3, 6, 1)],
+    scale=None,
+)
+@example(  # the same against a take rule that skipped the second half of b's row
+    n=7,
+    links=[(5, 4, 1), (0, 4, 1), (3, 6, 1), (0, 6, 1), (3, 5, 1), (6, 5, 1), (4, 3, 1), (5, 1, 1),
+           (4, 6, 1), (3, 2, 1), (2, 4, 1), (4, 5, 1), (3, 1, 1), (4, 1, 1), (0, 5, 1), (5, 6, 1),
+           (3, 4, 1), (1, 2, 1)],
+    scale=None,
+)
+def test_fast_greedy_equals_the_replaced_numpy_form(n, links, scale):
+    rows = [(s % n, t % n, 1.0 if scale is None else k * scale) for s, t, k in links]
+    assume(any(s != t for s, t, _ in rows))
+    got, expected = _greedy_both_paths_and_reference(layer_of(n, rows, weighted=scale is not None))
+    assert got == [expected, expected]
+
+
+@pytest.mark.parametrize("scale", [None, 0.1, 1.37, 1e-3])
+def test_fast_greedy_equals_the_replaced_numpy_form_on_random_digraphs(scale):
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        n = int(rng.integers(20, 70))
+        links = random_digraph(rng, n, float(rng.uniform(0.03, 0.3)), weighted=scale is not None)
+        rows = [(s, t, w if scale is None else w * scale) for s, t, w in links]
+        got, expected = _greedy_both_paths_and_reference(layer_of(n, rows, weighted=scale is not None))
+        assert got == [expected, expected]
+
+
+def test_fast_greedy_equals_the_replaced_numpy_form_on_a_fractional_planted_layer():
+    # The 800-node planted layer of the heap-oracle tests, weights 1.37 times 1-3.
+    planted = generate_planted_partition(8, 100, 0.08, 0.001, seed=7)[0].layer("links")
+    src, dst, _ = planted.metric_view()
+    weights = np.random.default_rng(7).integers(1, 4, size=len(src)) * 1.37
+    layer = layer_of(800, list(zip(src.tolist(), dst.tolist(), weights.tolist())), weighted=True)
+    got, expected = _greedy_both_paths_and_reference(layer)
+    assert got == [expected, expected]
+    assert communities._fast_greedy(communities._Problem(layer)).tolist() == expected
 
 
 def test_spectral_recovers_planted_groups():
