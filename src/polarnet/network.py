@@ -190,33 +190,21 @@ class Layer:
         return self._masked(keep, node_count=self.node_count - 1)
 
     def remapped(self, node_ids: tuple[str, ...], lut: np.ndarray) -> "Layer":
-        """Re-express link endpoints against a new registry via a lookup table.
-
-        The rows are sorted by (source, target, day) again, stably.  When the
-        mapped rows are already in that order, as they are whenever ``lut``
-        is increasing, the sort would leave them in place and is skipped.
-        """
+        """Re-express link endpoints against a new registry via a lookup table."""
         src = lut[self.src]
         dst = lut[self.dst]
-        weight, days = self.weight, self.days
-        keys = (src, dst) if days is None else (src, dst, days)
-        if not _rows_in_order(keys):
-            order = np.lexsort(keys[::-1])
-            src, dst, weight = src[order], dst[order], weight[order]
-            days = None if days is None else days[order]
-        return Layer(self.name, node_ids, src, dst, weight, days, self.weighted)
-
-
-def _rows_in_order(keys: Sequence[np.ndarray]) -> bool:
-    """True when no row sorts before the row above it by ``keys``, the first
-    column sorting first."""
-    tie = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)
-    for key in keys:
-        before, after = key[:-1], key[1:]
-        if (tie & (after < before)).any():
-            return False
-        tie &= after == before
-    return True
+        days = self.days
+        order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
+        order = np.lexsort((order_day, dst, src))
+        return Layer(
+            self.name,
+            node_ids,
+            src[order],
+            dst[order],
+            self.weight[order],
+            None if days is None else days[order],
+            self.weighted,
+        )
 
 
 def merge_links(weight: np.ndarray, *keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -668,8 +656,14 @@ class MultiplexNetwork:
         lut[[self.index[node] for node in registry]] = np.arange(len(registry))
         new_layers = {}
         for name, layer in self.layers.items():
-            mask = (lut[layer.src] >= 0) & (lut[layer.dst] >= 0)
-            new_layers[name] = layer._masked(mask, node_count=len(registry)).remapped(registry, lut)
+            src, dst = lut[layer.src], lut[layer.dst]
+            keep = (src >= 0) & (dst >= 0)
+            # lut increases over the kept nodes and the mask keeps row order, so
+            # the rows stay in the (source, target, day) order assemble gave them.
+            days = None if layer.days is None else layer.days[keep]
+            new_layers[name] = Layer(
+                name, registry, src[keep], dst[keep], layer.weight[keep], days, layer.weighted
+            )
         return MultiplexNetwork(registry, new_layers)
 
 

@@ -556,15 +556,23 @@ def similarity_replicates_reference(counts, estimator: str):
     return (scores[0], scores[1]), (scores[2], scores[3])
 
 
-def remapped_reference(layer, lut: np.ndarray) -> tuple:
-    """(src, dst, weight, days) of ``Layer.remapped``'s form that lexsorts the
-    mapped rows by (source, target, day) on every call."""
-    src = lut[layer.src]
-    dst = lut[layer.dst]
-    days = layer.days
-    order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
-    order = np.lexsort((order_day, dst, src))
-    return src[order], dst[order], layer.weight[order], None if days is None else days[order]
+def induced_reference(network, keep_ids) -> dict:
+    """{layer name: (src, dst, weight, days)} of ``MultiplexNetwork.induced``'s
+    form that masks each layer, maps its rows and lexsorts them by (source,
+    target, day) again."""
+    keep = set(keep_ids)
+    registry = [node for node in network.node_ids if node in keep]
+    lut = np.full(len(network.node_ids), -1, dtype=np.int64)
+    lut[[network.index[node] for node in registry]] = np.arange(len(registry))
+    layers = {}
+    for name, layer in network.layers.items():
+        mask = (lut[layer.src] >= 0) & (lut[layer.dst] >= 0)
+        src, dst, weight = lut[layer.src[mask]], lut[layer.dst[mask]], layer.weight[mask]
+        days = None if layer.days is None else layer.days[mask]
+        order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
+        order = np.lexsort((order_day, dst, src))
+        layers[name] = (src[order], dst[order], weight[order], None if days is None else days[order])
+    return layers
 
 
 def fast_greedy_reference(problem, *, tol: float = 1e-12) -> np.ndarray:

@@ -16,8 +16,8 @@ from oracles import (
     OracleError,
     apply_party_merge_oracle,
     filter_partition_oracle,
+    induced_reference,
     layer_merge_oracle,
-    remapped_reference,
     symmetric_adjacency_oracle,
 )
 from polarnet.errors import ParseError, ValidationError
@@ -401,9 +401,8 @@ def test_assemble_registry_order_and_lookup():
         MultiplexNetwork.assemble([a, layer_of(2, [(0, 1)], name="a")])
 
 
-# (source, target, weight, day); MISSING_DAY is the smallest int64, so it
-# also checks that the order test compares days without subtracting them.
-_REMAP_ROW = st.tuples(
+# (source, target, weight, day) over six nodes.
+_INDUCED_ROW = st.tuples(
     st.integers(0, 5),
     st.integers(0, 5),
     st.sampled_from([1.0, 0.25, 2.5]),
@@ -413,47 +412,44 @@ _REMAP_ROW = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.lists(_REMAP_ROW, max_size=14),
-    presorted=st.booleans(),
+    rows=st.lists(_INDUCED_ROW, max_size=14),
     dated=st.booleans(),
-    lut=st.one_of(
-        st.permutations(range(6)),  # rarely monotone: rows move
-        st.lists(st.integers(1, 3), min_size=6, max_size=6).map(lambda gaps: np.cumsum(gaps)),
-    ),
+    layer_order=st.permutations(range(6)),
+    table_order=st.permutations(range(8)),
+    dropped=st.sets(st.integers(0, 7), max_size=3),
+    keep=st.sets(st.integers(0, 7)),
 )
-@example(rows=[(0, 1, 1.0, 738001), (0, 1, 0.25, MISSING_DAY)], presorted=False, dated=True,
-         lut=list(range(6)))
-@example(rows=[(2, 1, 1.0, 738000), (0, 3, 1.0, 738000)], presorted=True, dated=False,
-         lut=[5, 4, 3, 2, 1, 0])
-def test_remapped_equals_the_always_sorting_reference(rows, presorted, dated, lut):
-    if presorted:
-        rows = sorted(rows, key=lambda row: (row[0], row[1], row[3] if dated else 0))
-    lut = np.asarray(lut, dtype=np.int64)
-    src = np.array([row[0] for row in rows], dtype=np.int64)
-    dst = np.array([row[1] for row in rows], dtype=np.int64)
-    weight = np.array([row[2] for row in rows], dtype=np.float64)
-    days = np.array([row[3] for row in rows], dtype=np.int64) if dated else None
-    layer = Layer("l", ids(6), src, dst, weight, days, True)
-    registry = ids(int(lut.max()) + 1)
-    got = layer.remapped(registry, lut)
-    expected = remapped_reference(layer, lut)
-    assert got.node_ids == registry
-    for have, want in zip((got.src, got.dst, got.weight, got.days), expected):
-        if want is None:
-            assert have is None
-        else:
-            assert have.dtype == want.dtype and have.tolist() == want.tolist()
+def test_induced_equals_the_masking_and_sorting_reference(
+    rows, dated, layer_order, table_order, dropped, keep
+):
+    # The layers list their nodes in another order than the node table, so
+    # assemble's lookup moves rows and induced starts from re-sorted layers.
+    names = ids(8)
+    registry = tuple(names[i] for i in layer_order)
+    sources = [registry[row[0]] for row in rows]
+    targets = [registry[row[1]] for row in rows]
+    days = [row[3] if dated else MISSING_DAY for row in rows]
+    weighted = Layer.from_columns("weighted", sources, targets, [row[2] for row in rows], days,
+                                  weighted=True, node_ids=registry)
+    unit = Layer.from_columns("unit", targets, sources, [1.0] * len(rows), days,
+                              weighted=False, node_ids=registry)
+    network = MultiplexNetwork.assemble(
+        [weighted, unit], dict.fromkeys((names[i] for i in table_order), "")
+    )
+    for v in sorted(dropped):
+        network = network.drop_node(v)
+    keep_ids = [names[i] for i in sorted(keep)]
 
-
-def test_remapped_keeps_sorted_rows_under_an_increasing_lookup():
-    layer = layer_of(4, [(2, 0, 2.0, 738001), (0, 3, 1.0, 738000), (0, 3, 1.5, 738002)])
-    kept = layer.remapped(ids(7), np.array([0, 2, 5, 6]))
-    assert kept.weight is layer.weight and kept.days is layer.days
-    assert kept.src.tolist() == [0, 0, 5] and kept.dst.tolist() == [6, 6, 0]
-    moved = layer.remapped(ids(4), np.array([3, 2, 1, 0]))
-    assert moved.src.tolist() == [1, 3, 3] and moved.dst.tolist() == [3, 0, 0]
-    assert moved.weight.tolist() == [2.0, 1.0, 1.5]
-    assert moved.days.tolist() == [738001, 738000, 738002]
+    got = network.induced(keep_ids)
+    assert got.node_ids == tuple(node for node in network.node_ids if node in set(keep_ids))
+    for name, expected in induced_reference(network, keep_ids).items():
+        layer = got.layer(name)
+        assert layer.node_ids == got.node_ids and layer.node_count == len(got.node_ids)
+        for have, want in zip((layer.src, layer.dst, layer.weight, layer.days), expected):
+            if want is None:
+                assert have is None
+            else:
+                assert have.dtype == want.dtype and have.tolist() == want.tolist()
 
 
 def test_drop_node_masks_links_and_registry_indices():
