@@ -103,10 +103,13 @@ class Layer:
     ) -> "Layer":
         """Build a layer from row columns, extending or reusing a registry;
         ``days`` holds day ordinals, ``MISSING_DAY`` for an undated row."""
-        ends = [end for pair in zip(sources, targets) for end in pair]
+        ends = [None] * (2 * len(sources))
+        ends[0::2] = sources
+        ends[1::2] = targets
         registry = tuple(dict.fromkeys(ends) if node_ids is None else node_ids)
         index = {node: i for i, node in enumerate(registry)}
-        codes = np.array([index.get(end, -1) for end in ends], dtype=np.int64).reshape(-1, 2)
+        codes = np.fromiter(map(index.get, ends, itertools.repeat(-1)), np.int64, len(ends))
+        codes = codes.reshape(-1, 2)
         w = np.array(weights, dtype=np.float64)
         if weighted is None:
             weighted = bool((w != 1.0).any())
@@ -336,6 +339,123 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
         yield line, cells
 
 
+def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The starting line and the width of every non-blank row of a layer CSV,
+    and the cells of all rows in one list, in row order.
+
+    A table with no quote, no lone carriage return and no blank line, whose
+    rows are all of one width, is split on newlines and commas in C, where
+    ``csv.reader`` would cut it too.  Any other text is read by ``csv_rows``.
+    """
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, data) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' not in text and "\r" not in text:
+        # A table of one width w >= 2 with no blank line splits once, with a
+        # "\n" cell after each row but the last, at every (w + 1)-th place.
+        cells = text.replace("\n", ",\n,").split(",")
+        count = text.count("\n") + 1
+        if text.endswith("\n"):
+            del cells[-2:]  # the last "\n" and the empty line after it
+            count -= 1
+        width = (len(cells) + 1) // count - 1
+        if (width >= 2 and (width + 1) * count == len(cells) + 1
+                and cells[width::width + 1].count("\n") == count - 1):
+            del cells[width::width + 1]
+            return np.arange(1, count + 1), np.full(count, width), cells
+    rows = list(csv_rows(path, data))
+    lines = np.array([line for line, _ in rows], dtype=np.int64)
+    widths = np.array([len(cells) for _, cells in rows], dtype=np.int64)
+    return lines, widths, [cell for _, cells in rows for cell in cells]
+
+
+def _weight_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The weights in a column of weight cells, their running totals, and the
+    index of the first cell that is not a positive finite weight or where
+    the total leaves the float range (``len(cells)`` if there is none).
+
+    ``np.cumsum`` adds in row order, so each total equals a Python running
+    sum bit for bit; the totals are exact up to that first bad cell.
+    """
+    weights: list[float] = []
+    try:
+        weights.extend(map(float, map(str.strip, cells)))
+    except ValueError:
+        pass  # the list stops before the first cell float() cannot read
+    w = np.array(weights, dtype=np.float64)
+    good = (w > 0) & (w < np.inf)
+    stop = len(w) if good.all() else int(np.argmin(good))
+    with np.errstate(over="ignore"):
+        totals = np.cumsum(w[:stop])
+    finite = np.isfinite(totals)
+    return w, totals, stop if finite.all() else int(np.argmin(finite))
+
+
+def _day_column(cells: list[str]) -> tuple[np.ndarray, int]:
+    """Day ordinals of a column of date cells, ``MISSING_DAY`` where a cell is
+    blank, and the index of the first cell that is not a real YYYY-MM-DD date
+    (``len(cells)`` if there is none).
+
+    The form is checked on each cell's characters: ten of them, ASCII digits
+    with dashes at 4 and 7.  So year 0000, a time, another ISO 8601 form,
+    a day past its month's end and non-ASCII digits fail, as in ``parse_date``.
+    """
+    cells = list(map(str.strip, cells))
+    n = len(cells)
+    joined = "\n".join(cells).encode() + b"\n"
+    raw = np.frombuffer(joined, np.uint8)
+    if len(raw) == 11 * n and joined.count(b"\n") == n and (raw[10::11] == ord("\n")).all():
+        # Every cell is ten bytes: read them in place.
+        lengths = np.full(n, 10)
+        chars = raw.reshape(n, 11)
+    else:
+        lengths = np.fromiter(map(len, cells), np.int64, n)
+        chars = np.array(cells, dtype="U10").view(np.uint32).reshape(n, 10)
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]].astype(np.int32) - ord("0")
+    form = ((lengths == 10) & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
+            & ((digits >= 0) & (digits <= 9)).all(axis=1))
+    digits[~form] = 0
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
+    month = digits[:, 4] * 10 + digits[:, 5]
+    day = digits[:, 6] * 10 + digits[:, 7]
+    first = ((year - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (month - 1))
+    start = first.astype("datetime64[D]")
+    month_days = ((first + 1).astype("datetime64[D]") - start).astype(np.int64)
+    real = form & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    # date(1970, 1, 1).toordinal() is 719163
+    days = np.where(lengths > 0, start.astype(np.int64) + day - 1 + 719163, MISSING_DAY)
+    bad = (lengths > 0) & ~real
+    return days, int(np.argmax(bad)) if bad.any() else n
+
+
+def _check_row(cells: list[str], line: int, where: str, cols: tuple[int | None, ...],
+               columns: Sequence[str], total: float) -> None:
+    """Raise the ParseError of one layer row, checking in the order of a row
+    loop: width, empty id, weight, weight total, date.  ``total`` is the
+    running weight total of the rows before it."""
+    src_col, dst_col, weight_col, date_col = cols
+    if len(cells) != len(columns):
+        raise ParseError(
+            f"expected {len(columns)} columns ({','.join(columns)}), found {len(cells)}",
+            path=where, line=line,
+        )
+    if not cells[src_col].strip() or not cells[dst_col].strip():
+        raise ParseError("empty node id", path=where, line=line)
+    if weight_col is not None:
+        wcell = cells[weight_col].strip()
+        if not wcell:
+            raise ParseError("missing weight", path=where, line=line)
+        # Every merged weight is at most the total, so a finite total
+        # keeps each merged link weight and m finite.
+        if not math.isfinite(total + _parse_weight(wcell, where, line)):
+            raise ParseError("link weights sum past the float range", path=where, line=line)
+    if date_col is not None and cells[date_col].strip():
+        parse_date(cells[date_col], where, line)
+
+
 def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
                  data: bytes | None = None) -> Layer:
     """Read a layer CSV with columns source,target[,weight][,date].
@@ -346,69 +466,74 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
     weight and date).  The layer is weighted exactly when a weight column is
     present.  ``data``, when given, is the file's bytes, already read, and
     ``path`` then only names the layer and its errors.
+
+    Each column is checked whole.  A ParseError names the first bad row, as
+    a row-by-row reader would: ``_check_row`` finds its message.
     """
     path = Path(path)
     where = str(path)
     name = (schema.name if schema else None) or path.stem
-    rows = csv_rows(path, data)
-    first = next(rows, None)
-    if first is None:
+    if data is None:
+        data = path.read_bytes()
+    lines, widths, cells = _layer_cells(path, data)
+    if not len(lines):
         return Layer.from_columns(name, [], [], [], [], weighted=False)
-    line, cells = first
-    header = [cell.strip().casefold() for cell in cells]
-    if line == 1 and header[:2] == ["source", "target"]:
+    head = cells[: widths[0]]
+    header = [cell.strip().casefold() for cell in head]
+    if lines[0] == 1 and header[:2] == ["source", "target"]:
         for i, column in enumerate(header):
             if column not in LAYER_COLUMNS:
                 raise ParseError(
-                    f"unknown column {cells[i].strip()!r} (expected {','.join(LAYER_COLUMNS)})",
-                    path=where, line=line,
+                    f"unknown column {head[i].strip()!r} (expected {','.join(LAYER_COLUMNS)})",
+                    path=where, line=1,
                 )
             if column in header[:i]:
-                raise ParseError(f"column {cells[i].strip()!r} given twice", path=where, line=line)
+                raise ParseError(f"column {head[i].strip()!r} given twice", path=where, line=1)
         positions = {column: i for i, column in enumerate(header)}
         cols = tuple(positions.get(column) for column in LAYER_COLUMNS)
-        columns = [cell.strip() for cell in cells]
+        columns = [cell.strip() for cell in head]
+        lines, widths, skip = lines[1:], widths[1:], len(head)
     else:
-        if not 2 <= len(cells) <= 4:
+        if not 2 <= len(head) <= 4:
             raise ParseError(
-                f"expected 2 to 4 columns ({','.join(LAYER_COLUMNS)}), found {len(cells)}",
-                path=where, line=line,
+                f"expected 2 to 4 columns ({','.join(LAYER_COLUMNS)}), found {len(head)}",
+                path=where, line=int(lines[0]),
             )
-        cols = tuple(i if i < len(cells) else None for i in range(4))
-        columns = LAYER_COLUMNS[: len(cells)]
-        rows = itertools.chain([first], rows)
+        cols = tuple(i if i < len(head) else None for i in range(4))
+        columns = LAYER_COLUMNS[: len(head)]
+        skip = 0
     src_col, dst_col, weight_col, date_col = cols
-    width = len(cells)
-    sources, targets, weights, days = [], [], [], []
-    total = 0.0
-    for line, cells in rows:
-        if len(cells) != width:
-            raise ParseError(
-                f"expected {width} columns ({','.join(columns)}), found {len(cells)}",
-                path=where, line=line,
-            )
-        source = cells[src_col].strip()
-        target = cells[dst_col].strip()
-        if not source or not target:
-            raise ParseError("empty node id", path=where, line=line)
-        weight = 1.0
-        if weight_col is not None:
-            wcell = cells[weight_col].strip()
-            if not wcell:
-                raise ParseError("missing weight", path=where, line=line)
-            weight = _parse_weight(wcell, where, line)
-            # Every merged weight is at most the total, so a finite total
-            # keeps each merged link weight and m finite.
-            total += weight
-            if not math.isfinite(total):
-                raise ParseError("link weights sum past the float range", path=where, line=line)
-        day = MISSING_DAY
-        if date_col is not None and cells[date_col].strip():
-            day = parse_date(cells[date_col], where, line).toordinal()
-        sources.append(source)
-        targets.append(target)
-        weights.append(weight)
-        days.append(day)
+    width = len(head)
+    n = len(lines)
+    # Rows before the first of another width form a table, cut into columns.
+    wrong = widths != width
+    rows = int(np.argmax(wrong)) if wrong.any() else n
+    raw = [cells[skip + j: skip + rows * width: width] for j in range(width)]
+    del cells
+    sources = list(map(str.strip, raw[src_col]))
+    targets = list(map(str.strip, raw[dst_col]))
+    bad = [rows]
+    bad += [ids.index("") for ids in (sources, targets) if "" in ids]
+    weights, totals = np.ones(rows), np.zeros(0)
+    if weight_col is not None:
+        weights, totals, first = _weight_column(raw[weight_col])
+        raw[weight_col] = None
+        bad.append(first)
+    days = np.full(rows, MISSING_DAY)
+    if date_col is not None:
+        days, first = _day_column(raw[date_col])
+        raw[date_col] = None
+        bad.append(first)
+    first = min(bad)
+    if first < n:
+        # Split the text again to read the bad row's own cells.
+        _, _, cells = _layer_cells(path, data)
+        begin = skip + first * width
+        total = float(totals[first - 1]) if first and len(totals) else 0.0
+        _check_row(cells[begin: begin + int(widths[first])], int(lines[first]), where, cols,
+                   columns, total)
+        raise AssertionError(f"{where}:{lines[first]}: the column checks reject a row "
+                             "that the row check accepts")
     return Layer.from_columns(name, sources, targets, weights, days, weighted=weight_col is not None)
 
 

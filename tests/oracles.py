@@ -6,7 +6,7 @@ Where both routes encode a documented convention (for instance that the
 modularity null model sums over every ordered node pair including i = j),
 the convention is restated in the oracle's docstring.  The ``*_reference``
 functions and ``eo_bisect_oracle`` are the exception: they keep a replaced
-numpy path verbatim, so a test can demand bit-identical results from its
+path verbatim, so a test can demand bit-identical results from its
 successor, and so do ``DictPartition``, ``apply_party_merge_oracle`` and
 ``filter_partition_oracle``, the node -> label dict form of a partition.
 """
@@ -573,6 +573,86 @@ def induced_reference(network, keep_ids) -> dict:
         order = np.lexsort((order_day, dst, src))
         layers[name] = (src[order], dst[order], weight[order], None if days is None else days[order])
     return layers
+
+
+def ingest_layer_reference(path, schema=None, *, data: bytes | None = None):
+    """``network.ingest_layer``'s replaced form, which checks and appends one
+    row at a time and raises at the first bad row."""
+    from pathlib import Path
+
+    from polarnet.errors import ParseError
+    from polarnet.network import (
+        LAYER_COLUMNS,
+        MISSING_DAY,
+        Layer,
+        _parse_weight,
+        csv_rows,
+        parse_date,
+    )
+
+    path = Path(path)
+    where = str(path)
+    name = (schema.name if schema else None) or path.stem
+    rows = csv_rows(path, data)
+    first = next(rows, None)
+    if first is None:
+        return Layer.from_columns(name, [], [], [], [], weighted=False)
+    line, cells = first
+    header = [cell.strip().casefold() for cell in cells]
+    if line == 1 and header[:2] == ["source", "target"]:
+        for i, column in enumerate(header):
+            if column not in LAYER_COLUMNS:
+                raise ParseError(
+                    f"unknown column {cells[i].strip()!r} (expected {','.join(LAYER_COLUMNS)})",
+                    path=where, line=line,
+                )
+            if column in header[:i]:
+                raise ParseError(f"column {cells[i].strip()!r} given twice", path=where, line=line)
+        positions = {column: i for i, column in enumerate(header)}
+        cols = tuple(positions.get(column) for column in LAYER_COLUMNS)
+        columns = [cell.strip() for cell in cells]
+    else:
+        if not 2 <= len(cells) <= 4:
+            raise ParseError(
+                f"expected 2 to 4 columns ({','.join(LAYER_COLUMNS)}), found {len(cells)}",
+                path=where, line=line,
+            )
+        cols = tuple(i if i < len(cells) else None for i in range(4))
+        columns = LAYER_COLUMNS[: len(cells)]
+        rows = itertools.chain([first], rows)
+    src_col, dst_col, weight_col, date_col = cols
+    width = len(cells)
+    sources, targets, weights, days = [], [], [], []
+    total = 0.0
+    for line, cells in rows:
+        if len(cells) != width:
+            raise ParseError(
+                f"expected {width} columns ({','.join(columns)}), found {len(cells)}",
+                path=where, line=line,
+            )
+        source = cells[src_col].strip()
+        target = cells[dst_col].strip()
+        if not source or not target:
+            raise ParseError("empty node id", path=where, line=line)
+        weight = 1.0
+        if weight_col is not None:
+            wcell = cells[weight_col].strip()
+            if not wcell:
+                raise ParseError("missing weight", path=where, line=line)
+            weight = _parse_weight(wcell, where, line)
+            # Every merged weight is at most the total, so a finite total
+            # keeps each merged link weight and m finite.
+            total += weight
+            if not math.isfinite(total):
+                raise ParseError("link weights sum past the float range", path=where, line=line)
+        day = MISSING_DAY
+        if date_col is not None and cells[date_col].strip():
+            day = parse_date(cells[date_col], where, line).toordinal()
+        sources.append(source)
+        targets.append(target)
+        weights.append(weight)
+        days.append(day)
+    return Layer.from_columns(name, sources, targets, weights, days, weighted=weight_col is not None)
 
 
 def fast_greedy_reference(problem, *, tol: float = 1e-12) -> np.ndarray:

@@ -133,52 +133,60 @@ _GREEDY_LINK = st.tuples(
 )
 
 
+@st.composite
+def _tied_graphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """(n, links) of 40-100 nodes that all have the same in- and out-degree,
+    1 to 3: the union of that many random permutations.  Equal degrees make
+    many merge gains tie exactly; random graphs rarely tie two gains that
+    meet at the survivor of a merge."""
+    n = draw(st.integers(40, 100))
+    permutations = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return n, [(u, v) for order in permutations for u, v in enumerate(order)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(2, 12),
-    links=st.lists(_GREEDY_LINK, min_size=1, max_size=40),
+    graph=st.one_of(
+        st.tuples(st.integers(2, 12), st.lists(_GREEDY_LINK, min_size=1, max_size=40)),
+        _tied_graphs().map(lambda g: (g[0], [(u, v, 1, None) for u, v in g[1]])),
+    ),
     kind=st.sampled_from(["unweighted", "integer", "eighths"]),
 )
 @example(  # two triangles, a self-link-only node n6 and an isolated n7
-    n=8,
-    links=[(0, 1, 1, None), (1, 2, 1, None), (2, 0, 1, None), (3, 4, 1, None),
-           (4, 5, 1, None), (5, 3, 1, None), (6, 6, 1, None)],
+    graph=(8, [(0, 1, 1, None), (1, 2, 1, None), (2, 0, 1, None), (3, 4, 1, None),
+               (4, 5, 1, None), (5, 3, 1, None), (6, 6, 1, None)]),
     kind="unweighted",
 )
 @example(  # a neighbour's gain towards the survivor ties its best at a larger partner
-    n=6,
-    links=[(0, 5, 1, None), (2, 0, 1, None), (4, 0, 1, None), (3, 0, 1, None), (2, 4, 1, None),
-           (2, 2, 1, None), (5, 3, 1, None), (5, 4, 1, None), (4, 3, 1, None), (2, 5, 1, None),
-           (3, 4, 1, None)],
+    graph=(6, [(0, 5, 1, None), (2, 0, 1, None), (4, 0, 1, None), (3, 0, 1, None), (2, 4, 1, None),
+               (2, 2, 1, None), (5, 3, 1, None), (5, 4, 1, None), (4, 3, 1, None), (2, 5, 1, None),
+               (3, 4, 1, None)]),
     kind="unweighted",
 )
 @example(  # a stale row whose bound ties the largest exact best at a later row is
     # recomputed before that row merges
-    n=6,
-    links=[(5, 2, 1, None), (1, 4, 1, None), (2, 0, 1, None), (4, 3, 1, None), (3, 0, 1, None)],
+    graph=(6, [(5, 2, 1, None), (1, 4, 1, None), (2, 0, 1, None), (4, 3, 1, None), (3, 0, 1, None)]),
     kind="unweighted",
 )
 @example(  # a stale neighbour's gain towards the survivor rises above its bound
-    n=10,
-    links=[(4, 0, 1, None), (8, 0, 1, None), (3, 9, 1, None), (7, 8, 1, None), (7, 0, 1, None),
-           (2, 1, 1, None), (8, 1, 1, None), (0, 2, 1, None), (6, 8, 1, None), (5, 0, 1, None),
-           (4, 2, 1, None), (1, 4, 1, None), (1, 6, 1, None), (8, 5, 1, None), (0, 3, 1, None),
-           (8, 7, 1, None)],
+    graph=(10, [(4, 0, 1, None), (8, 0, 1, None), (3, 9, 1, None), (7, 8, 1, None), (7, 0, 1, None),
+               (2, 1, 1, None), (8, 1, 1, None), (0, 2, 1, None), (6, 8, 1, None), (5, 0, 1, None),
+               (4, 2, 1, None), (1, 4, 1, None), (1, 6, 1, None), (8, 5, 1, None), (0, 3, 1, None),
+               (8, 7, 1, None)]),
     kind="unweighted",
 )
 @example(  # a stale neighbour's gain towards the survivor only ties its bound: it stays stale
-    n=10,
-    links=[(1, 5, 1, None), (7, 0, 1, None), (4, 3, 1, None), (1, 4, 1, None), (2, 5, 1, None),
-           (5, 4, 1, None), (9, 6, 1, None), (9, 0, 1, None), (2, 8, 1, None), (4, 0, 1, None),
-           (7, 8, 1, None), (2, 3, 1, None)],
+    graph=(10, [(1, 5, 1, None), (7, 0, 1, None), (4, 3, 1, None), (1, 4, 1, None), (2, 5, 1, None),
+               (5, 4, 1, None), (9, 6, 1, None), (9, 0, 1, None), (2, 8, 1, None), (4, 0, 1, None),
+               (7, 8, 1, None), (2, 3, 1, None)]),
     kind="unweighted",
 )
 @example(  # two lone links: each merge leaves the survivor with an empty row
-    n=4,
-    links=[(0, 3, 1, None), (1, 2, 1, None)],
+    graph=(4, [(0, 3, 1, None), (1, 2, 1, None)]),
     kind="unweighted",
 )
-def test_fast_greedy_equals_heap_oracle(n, links, kind):
+def test_fast_greedy_equals_heap_oracle(graph, kind):
+    n, links = graph
     weight = {"unweighted": lambda k: 1.0, "integer": lambda k: 1.0 + k % 3,
               "eighths": lambda k: k / 8.0}[kind]
     rows = [(s % n, t % n, weight(k), None if day is None else 738000 + day)
@@ -229,34 +237,35 @@ def _greedy_both_paths_and_reference(layer):
 # scale that makes the weight sums, degree products and gains round.
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(2, 16),
-    links=st.lists(
-        st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 40)), min_size=1, max_size=60
+    graph=st.one_of(
+        st.tuples(st.integers(2, 16), st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 40)), min_size=1,
+            max_size=60)),
+        _tied_graphs().map(lambda g: (g[0], [(u, v, 1) for u, v in g[1]])),
     ),
     scale=st.sampled_from([None, 0.1, 1.37, 1e-3]),
 )
 @example(  # three lone links and two isolated nodes
-    n=8, links=[(0, 1, 1), (2, 3, 1), (5, 4, 1)], scale=None,
+    graph=(8, [(0, 1, 1), (2, 3, 1), (5, 4, 1)]), scale=None,
 )
 @example(  # a star whose leaves tie, joined to a triangle, with a self-link-only node
-    n=9, links=[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (7, 7, 1)],
+    graph=(9, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1), (7, 7, 1)]),
     scale=None,
 )
 @example(  # b's old neighbours take the survivor at tied gains; found against a take
     # rule that skipped every second neighbour
-    n=7,
-    links=[(5, 6, 1), (0, 1, 1), (6, 0, 1), (2, 3, 1), (2, 6, 1), (4, 3, 1), (0, 4, 1), (1, 3, 1),
-           (3, 1, 1), (5, 1, 1), (3, 4, 1), (1, 4, 1), (3, 6, 1)],
+    graph=(7, [(5, 6, 1), (0, 1, 1), (6, 0, 1), (2, 3, 1), (2, 6, 1), (4, 3, 1), (0, 4, 1), (1, 3, 1),
+               (3, 1, 1), (5, 1, 1), (3, 4, 1), (1, 4, 1), (3, 6, 1)]),
     scale=None,
 )
 @example(  # the same against a take rule that skipped the second half of b's row
-    n=7,
-    links=[(5, 4, 1), (0, 4, 1), (3, 6, 1), (0, 6, 1), (3, 5, 1), (6, 5, 1), (4, 3, 1), (5, 1, 1),
-           (4, 6, 1), (3, 2, 1), (2, 4, 1), (4, 5, 1), (3, 1, 1), (4, 1, 1), (0, 5, 1), (5, 6, 1),
-           (3, 4, 1), (1, 2, 1)],
+    graph=(7, [(5, 4, 1), (0, 4, 1), (3, 6, 1), (0, 6, 1), (3, 5, 1), (6, 5, 1), (4, 3, 1), (5, 1, 1),
+               (4, 6, 1), (3, 2, 1), (2, 4, 1), (4, 5, 1), (3, 1, 1), (4, 1, 1), (0, 5, 1), (5, 6, 1),
+               (3, 4, 1), (1, 2, 1)]),
     scale=None,
 )
-def test_fast_greedy_equals_the_replaced_numpy_form(n, links, scale):
+def test_fast_greedy_equals_the_replaced_numpy_form(graph, scale):
+    n, links = graph
     rows = [(s % n, t % n, 1.0 if scale is None else k * scale) for s, t, k in links]
     assume(any(s != t for s, t, _ in rows))
     got, expected = _greedy_both_paths_and_reference(layer_of(n, rows, weighted=scale is not None))

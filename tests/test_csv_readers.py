@@ -1,7 +1,14 @@
-"""The five CSV readers share one row reader: encoding, line endings, headers,
-widths and the line numbers their errors name."""
+"""The five CSV readers agree on encoding, line endings, headers, widths and
+the line numbers their errors name.  Four of them share one row reader,
+``csv_rows``.  The layer reader splits its text into whole columns, with
+``str.split`` when the text is a table of one width with no quote, no lone
+carriage return and no blank line, and with ``csv_rows`` otherwise, and
+checks each column at once; a hypothesis test holds it to the row loop it
+replaced, ``oracles.ingest_layer_reference``."""
 from __future__ import annotations
 
+import csv
+import io
 from datetime import date
 
 import pytest
@@ -9,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import columns
+from oracles import ingest_layer_reference
 from polarnet.cli import _read_events
-from polarnet.errors import ParseError
+from polarnet.errors import ParseError, PolarnetError
 from polarnet.ideology import read_positions
 from polarnet.network import (
+    LAYER_COLUMNS,
     Layer,
     LayerSchema,
     export_layer_csv,
@@ -195,3 +204,78 @@ def test_exported_layer_reingests_equal_with_bom_and_crlf(tmp_path_factory, link
     assert _comparable(again) == _comparable(plain)
     assert sorted(again.links(), key=repr) == sorted(original.links(), key=repr)
     assert again.weighted == original.weighted
+
+
+# Cells of a layer row.  Node ids and weights may be padded, and quoted node
+# ids may hold commas, quotes and line breaks.
+_ID = st.sampled_from(["a", "b", "c", "n1", "é", " a ", "b\t"])
+_QUOTED_ID = st.one_of(_ID, st.text(alphabet='ab,"é\n\r ', min_size=1, max_size=4)
+                       .filter(str.strip))
+_WEIGHT = st.one_of(st.integers(1, 5).map(str),
+                    st.sampled_from(["0.1", "2.5", "1e3", " 3 ", "1_0", "+2", "1e308"]))
+_DAY = st.one_of(st.dates(date(1990, 1, 1), date(2030, 12, 31)).map(date.isoformat),
+                 st.sampled_from(["", "  ", " 2013-01-05 ", "2012-02-29"]))
+_CELLS = {"source": _ID, "target": _ID, "weight": _WEIGHT, "date": _DAY}
+# One bad cell of each kind: (column it replaces, or None for the row width; cell)
+_BAD = [
+    (None, "wide"), (None, "narrow"), ("source", ""), ("target", "  "),
+    ("weight", ""), ("weight", "heavy"), ("weight", "inf"), ("weight", "-inf"),
+    ("weight", "nan"), ("weight", "0"), ("weight", "-2"), ("weight", "1.7e308"),
+    *[("date", day) for day in ["20130105", "2013-W01-1", "0000-01-01", "2013-01-05T00",
+                                "2013-02-30", "２０１３-01-05", "2013-13-01", "2013-1-05"]],
+]
+
+
+@st.composite
+def _layer_texts(draw) -> bytes:
+    """A layer CSV in either form, with up to four bad cells at random rows.
+    About half of the texts hold no quote and no lone carriage return."""
+    quoted = draw(st.booleans())
+    cells = {**_CELLS, "source": _QUOTED_ID, "target": _QUOTED_ID} if quoted else _CELLS
+    header = draw(st.booleans())
+    if header:
+        extra = draw(st.lists(st.sampled_from(["weight", "date"]), unique=True, max_size=2))
+        names = ["source", "target", *extra]
+    else:
+        names = list(LAYER_COLUMNS[: draw(st.integers(2, 4))])
+    rows = draw(st.lists(st.tuples(*(cells[name] for name in names)).map(list),
+                         min_size=1, max_size=8))
+    spoilt = draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_BAD)), max_size=3))
+    if spoilt and draw(st.booleans()):
+        # the same kind of bad cell again, in another row
+        spoilt.append((spoilt[0][0] + draw(st.integers(1, 7)), spoilt[0][1]))
+    for at, (column, cell) in spoilt:
+        row = rows[at % len(rows)]
+        if column is None:
+            row[:] = row + ["x"] if cell == "wide" else row[:-1]
+        elif column in names and len(row) == len(names):
+            row[names.index(column)] = cell
+    if header:
+        title = [draw(st.sampled_from([name, name.title(), name.upper()])) for name in names]
+        rows.insert(0, title)
+    handle = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL] if quoted
+                                   else [csv.QUOTE_MINIMAL]))
+    csv.writer(handle, lineterminator="\n", quoting=quoting).writerows(rows)
+    lines = handle.getvalue().split("\n")
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"] if quoted else ["\n", "\r\n"]))
+    text = ("\ufeff" if draw(st.booleans()) else "") + newline.join(lines)
+    return text.encode("utf-8")
+
+
+def _outcome(read, data: bytes):
+    try:
+        return _comparable(read("layer.csv", data=data))
+    except PolarnetError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_layer_texts())
+@example(data=b"source,target,weight,date\na,b,1,2013-13-01\nb,c,heavy,2013-01-05\n")
+@example(data="\ufeffa,b, 1e308 \r\n\r\nb,a,1.7e308\r\n".encode())
+def test_ingest_equals_the_row_loop_reference(data):
+    """Whole-column reading gives the row loop's layer, or its first error."""
+    assert _outcome(ingest_layer, data) == _outcome(ingest_layer_reference, data)
