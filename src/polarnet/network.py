@@ -339,37 +339,46 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
         yield line, cells
 
 
-def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The starting line and the width of every non-blank row of a layer CSV,
-    and the cells of all rows in one list, in row order.
+def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, list[str], bool]:
+    """The width of every non-blank row of a layer CSV, the cells of all rows
+    in one list, in row order, and whether the first row starts on line 1.
 
-    A table with no quote, no lone carriage return and no blank line, whose
-    rows are all of one width, is split on newlines and commas in C, where
-    ``csv.reader`` would cut it too.  Any other text is read by ``csv_rows``.
+    A table with no quote, NUL or lone carriage return and no blank line,
+    whose rows are all of one width and whose cells fit the csv module's
+    field size limit, is split on newlines and commas in C, into the cells
+    ``csv.reader`` would cut, in about a third of its time.  Any other text
+    goes through ``csv.reader``.  Lines are not counted: ``_row_at`` finds
+    the line of a row to report it.
     """
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise _not_utf8(path, data) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if '"' not in text and "\r" not in text:
+    flat = text.replace("\r\n", "\n") if "\r" in text else text
+    if '"' not in flat and "\r" not in flat and "\0" not in flat:
         # A table of one width w >= 2 with no blank line splits once, with a
         # "\n" cell after each row but the last, at every (w + 1)-th place.
-        cells = text.replace("\n", ",\n,").split(",")
-        count = text.count("\n") + 1
-        if text.endswith("\n"):
+        cells = flat.replace("\n", ",\n,").split(",")
+        count = flat.count("\n") + 1
+        if flat.endswith("\n"):
             del cells[-2:]  # the last "\n" and the empty line after it
             count -= 1
         width = (len(cells) + 1) // count - 1
         if (width >= 2 and (width + 1) * count == len(cells) + 1
-                and cells[width::width + 1].count("\n") == count - 1):
+                and cells[width::width + 1].count("\n") == count - 1
+                and (len(flat) <= csv.field_size_limit()
+                     or max(map(len, cells)) <= csv.field_size_limit())):
             del cells[width::width + 1]
-            return np.arange(1, count + 1), np.full(count, width), cells
-    rows = list(csv_rows(path, data))
-    lines = np.array([line for line, _ in rows], dtype=np.int64)
-    widths = np.array([len(cells) for _, cells in rows], dtype=np.int64)
-    return lines, widths, [cell for _, cells in rows for cell in cells]
+            return np.full(count, width), cells, True
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    kept = [cells for cells in rows if len(cells) > 1 or (cells and cells[0].strip())]
+    widths = np.fromiter(map(len, kept), np.int64, len(kept))
+    return widths, list(itertools.chain.from_iterable(kept)), bool(kept) and kept[0] is rows[0]
+
+
+def _row_at(path: Path, data: bytes, index: int) -> tuple[int, list[str]]:
+    """The line and cells of the ``index``-th non-blank row of a layer CSV."""
+    return next(itertools.islice(csv_rows(path, data), index, None))
 
 
 def _weight_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -405,15 +414,9 @@ def _day_column(cells: list[str]) -> tuple[np.ndarray, int]:
     """
     cells = list(map(str.strip, cells))
     n = len(cells)
-    joined = "\n".join(cells).encode() + b"\n"
-    raw = np.frombuffer(joined, np.uint8)
-    if len(raw) == 11 * n and joined.count(b"\n") == n and (raw[10::11] == ord("\n")).all():
-        # Every cell is ten bytes: read them in place.
-        lengths = np.full(n, 10)
-        chars = raw.reshape(n, 11)
-    else:
-        lengths = np.fromiter(map(len, cells), np.int64, n)
-        chars = np.array(cells, dtype="U10").view(np.uint32).reshape(n, 10)
+    lengths = np.fromiter(map(len, cells), np.int64, n)
+    # A U10 array cuts longer cells short; their lengths reject them.
+    chars = np.array(cells, dtype="U10").view(np.uint32).reshape(n, 10)
     digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]].astype(np.int32) - ord("0")
     form = ((lengths == 10) & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
             & ((digits >= 0) & (digits <= 9)).all(axis=1))
@@ -475,12 +478,12 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
     name = (schema.name if schema else None) or path.stem
     if data is None:
         data = path.read_bytes()
-    lines, widths, cells = _layer_cells(path, data)
-    if not len(lines):
+    widths, cells, at_line_1 = _layer_cells(path, data)
+    if not len(widths):
         return Layer.from_columns(name, [], [], [], [], weighted=False)
     head = cells[: widths[0]]
     header = [cell.strip().casefold() for cell in head]
-    if lines[0] == 1 and header[:2] == ["source", "target"]:
+    if at_line_1 and header[:2] == ["source", "target"]:
         for i, column in enumerate(header):
             if column not in LAYER_COLUMNS:
                 raise ParseError(
@@ -492,23 +495,24 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
         positions = {column: i for i, column in enumerate(header)}
         cols = tuple(positions.get(column) for column in LAYER_COLUMNS)
         columns = [cell.strip() for cell in head]
-        lines, widths, skip = lines[1:], widths[1:], len(head)
+        skip = 1
     else:
         if not 2 <= len(head) <= 4:
             raise ParseError(
                 f"expected 2 to 4 columns ({','.join(LAYER_COLUMNS)}), found {len(head)}",
-                path=where, line=int(lines[0]),
+                path=where, line=_row_at(path, data, 0)[0],
             )
         cols = tuple(i if i < len(head) else None for i in range(4))
         columns = LAYER_COLUMNS[: len(head)]
         skip = 0
     src_col, dst_col, weight_col, date_col = cols
     width = len(head)
-    n = len(lines)
+    n = len(widths) - skip
     # Rows before the first of another width form a table, cut into columns.
-    wrong = widths != width
+    wrong = widths[skip:] != width
     rows = int(np.argmax(wrong)) if wrong.any() else n
-    raw = [cells[skip + j: skip + rows * width: width] for j in range(width)]
+    start = skip * width
+    raw = [cells[start + j: start + rows * width: width] for j in range(width)]
     del cells
     sources = list(map(str.strip, raw[src_col]))
     targets = list(map(str.strip, raw[dst_col]))
@@ -526,13 +530,10 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
         bad.append(first)
     first = min(bad)
     if first < n:
-        # Split the text again to read the bad row's own cells.
-        _, _, cells = _layer_cells(path, data)
-        begin = skip + first * width
+        line, row = _row_at(path, data, skip + first)
         total = float(totals[first - 1]) if first and len(totals) else 0.0
-        _check_row(cells[begin: begin + int(widths[first])], int(lines[first]), where, cols,
-                   columns, total)
-        raise AssertionError(f"{where}:{lines[first]}: the column checks reject a row "
+        _check_row(row, line, where, cols, columns, total)
+        raise AssertionError(f"{where}:{line}: the column checks reject a row "
                              "that the row check accepts")
     return Layer.from_columns(name, sources, targets, weights, days, weighted=weight_col is not None)
 

@@ -144,7 +144,9 @@ def _tied_graphs(draw) -> tuple[int, list[tuple[int, int]]]:
     return n, [(u, v) for order in permutations for u, v in enumerate(order)]
 
 
-@settings(max_examples=300, deadline=None)
+# Twice the examples of a single strategy: each of the two forms gets about as
+# many as the random form alone had.
+@settings(max_examples=600, deadline=None)
 @given(
     graph=st.one_of(
         st.tuples(st.integers(2, 12), st.lists(_GREEDY_LINK, min_size=1, max_size=40)),
@@ -235,7 +237,9 @@ def _greedy_both_paths_and_reference(layer):
 # (source, target, k) over a registry whose nodes no link touches stay
 # isolated.  Unweighted links tie heavily; otherwise the weight is k times a
 # scale that makes the weight sums, degree products and gains round.
-@settings(max_examples=300, deadline=None)
+# Twice the examples of a single strategy: each of the two forms gets about as
+# many as the random form alone had.
+@settings(max_examples=600, deadline=None)
 @given(
     graph=st.one_of(
         st.tuples(st.integers(2, 16), st.lists(

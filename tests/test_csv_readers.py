@@ -1,10 +1,11 @@
 """The five CSV readers agree on encoding, line endings, headers, widths and
 the line numbers their errors name.  Four of them share one row reader,
 ``csv_rows``.  The layer reader splits its text into whole columns, with
-``str.split`` when the text is a table of one width with no quote, no lone
-carriage return and no blank line, and with ``csv_rows`` otherwise, and
-checks each column at once; a hypothesis test holds it to the row loop it
-replaced, ``oracles.ingest_layer_reference``."""
+``str.split`` when the text is a table of one width with no quote, NUL,
+lone carriage return, blank line or over-long cell, and with one
+``csv.reader`` pass otherwise, and checks each column at once; only a row it
+reports is read again by ``csv_rows``, for its line.  A hypothesis test
+holds it to the row loop it replaced, ``oracles.ingest_layer_reference``."""
 from __future__ import annotations
 
 import csv
@@ -268,7 +269,7 @@ def _layer_texts(draw) -> bytes:
 def _outcome(read, data: bytes):
     try:
         return _comparable(read("layer.csv", data=data))
-    except PolarnetError as err:
+    except (PolarnetError, csv.Error) as err:
         return f"{type(err).__name__}: {err}"
 
 
@@ -276,6 +277,8 @@ def _outcome(read, data: bytes):
 @given(data=_layer_texts())
 @example(data=b"source,target,weight,date\na,b,1,2013-13-01\nb,c,heavy,2013-01-05\n")
 @example(data="\ufeffa,b, 1e308 \r\n\r\nb,a,1.7e308\r\n".encode())
+@example(data=b"a,b\n" + b"c" * (csv.field_size_limit() + 1) + b",d\n")
+@example(data=b"a,b\nc\x00,d\n")
 def test_ingest_equals_the_row_loop_reference(data):
     """Whole-column reading gives the row loop's layer, or its first error."""
     assert _outcome(ingest_layer, data) == _outcome(ingest_layer_reference, data)
