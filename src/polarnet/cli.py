@@ -124,13 +124,19 @@ def _load_run(args: argparse.Namespace, *, need_partition: bool, min_layers: int
         raise ValidationError(
             f"this command needs at least {min_layers} --layer NAME=PATH argument(s)"
         )
-    # ingest_layer is looked up at call time, so perfbench's tracer sees every parse.
-    layers = [
-        store.layer(args.out, path, name,
-                    lambda data: ingest_layer(path, LayerSchema(name=name), data=data))
-        for name, path in pairs
-    ]
     node_table = read_node_table(args.nodes) if args.nodes else None
+    # Each layer is parsed onto the registry so far (table ids, then earlier
+    # layers' ids), which assemble then keeps without a remap.
+    registry = dict.fromkeys(node_table or ())
+    layers = []
+    for name, path in pairs:
+        prefix = tuple(registry)
+        # ingest_layer is looked up at call time, so perfbench's tracer sees every parse.
+        layers.append(store.layer(
+            args.out, path, name,
+            lambda data: ingest_layer(path, LayerSchema(name=name), data=data, prefix=prefix),
+            prefix))
+        registry.update(dict.fromkeys(layers[-1].node_ids))
     network = MultiplexNetwork.assemble(layers, node_table)
     partition = None
     merge = None

@@ -100,13 +100,21 @@ class Layer:
         *,
         weighted: bool | None = None,
         node_ids: Sequence[str] | None = None,
+        prefix: Sequence[str] = (),
     ) -> "Layer":
         """Build a layer from row columns, extending or reusing a registry;
-        ``days`` holds day ordinals, ``MISSING_DAY`` for an undated row."""
+        ``days`` holds day ordinals, ``MISSING_DAY`` for an undated row.
+
+        Without ``node_ids`` the registry is ``prefix`` followed by the ids
+        the rows name first, in row order; ``node_ids`` is the whole
+        registry, and a row naming another id is an error.
+        """
         ends = [None] * (2 * len(sources))
         ends[0::2] = sources
         ends[1::2] = targets
-        registry = tuple(dict.fromkeys(ends) if node_ids is None else node_ids)
+        if node_ids is None:
+            node_ids = dict.fromkeys(itertools.chain(prefix, ends))
+        registry = tuple(node_ids)
         index = {node: i for i, node in enumerate(registry)}
         codes = np.fromiter(map(index.get, ends, itertools.repeat(-1)), np.int64, len(ends))
         codes = codes.reshape(-1, 2)
@@ -303,7 +311,9 @@ def csv_rows(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int,
     only names it in errors; a pipe cannot be opened a second time.  A
     leading byte-order mark is dropped.  ``line`` is the physical line on
     which the row starts, so rows after a quoted multi-line cell are still
-    named correctly in errors.
+    named correctly in errors.  A row the csv module cannot cut, such as
+    one with a cell past ``csv.field_size_limit()``, is a ParseError at
+    that line.
     """
     if data is None:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -319,6 +329,8 @@ def csv_rows(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int,
                 line = reader.line_num + 1
         except UnicodeDecodeError:
             raise _not_utf8(path, data) from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), path=str(path), line=line) from None
 
 
 def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -370,7 +382,12 @@ def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, list[str], bool]:
                      or max(map(len, cells)) <= csv.field_size_limit())):
             del cells[width::width + 1]
             return np.full(count, width), cells, True
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:
+        for _ in csv_rows(path, data):  # raises it as a ParseError at its line
+            pass
+        raise
     kept = [cells for cells in rows if len(cells) > 1 or (cells and cells[0].strip())]
     widths = np.fromiter(map(len, kept), np.int64, len(kept))
     return widths, list(itertools.chain.from_iterable(kept)), bool(kept) and kept[0] is rows[0]
@@ -460,7 +477,7 @@ def _check_row(cells: list[str], line: int, where: str, cols: tuple[int | None, 
 
 
 def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
-                 data: bytes | None = None) -> Layer:
+                 data: bytes | None = None, prefix: Sequence[str] = ()) -> Layer:
     """Read a layer CSV with columns source,target[,weight][,date].
 
     A header on line 1 whose first two cells are source,target maps every
@@ -468,7 +485,8 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
     rows are read positionally (2 columns unweighted, 3 with weight, 4 with
     weight and date).  The layer is weighted exactly when a weight column is
     present.  ``data``, when given, is the file's bytes, already read, and
-    ``path`` then only names the layer and its errors.
+    ``path`` then only names the layer and its errors.  The registry is
+    ``prefix`` followed by the ids the file names first.
 
     Each column is checked whole.  A ParseError names the first bad row, as
     a row-by-row reader would: ``_check_row`` finds its message.
@@ -480,7 +498,7 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
         data = path.read_bytes()
     widths, cells, at_line_1 = _layer_cells(path, data)
     if not len(widths):
-        return Layer.from_columns(name, [], [], [], [], weighted=False)
+        return Layer.from_columns(name, [], [], [], [], weighted=False, prefix=prefix)
     head = cells[: widths[0]]
     header = [cell.strip().casefold() for cell in head]
     if at_line_1 and header[:2] == ["source", "target"]:
@@ -535,7 +553,8 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
         _check_row(row, line, where, cols, columns, total)
         raise AssertionError(f"{where}:{line}: the column checks reject a row "
                              "that the row check accepts")
-    return Layer.from_columns(name, sources, targets, weights, days, weighted=weight_col is not None)
+    return Layer.from_columns(name, sources, targets, weights, days,
+                              weighted=weight_col is not None, prefix=prefix)
 
 
 def export_layer_csv(layer: Layer, path: str | Path) -> None:
@@ -726,7 +745,8 @@ class MultiplexNetwork:
 
         The node universe is the union of node-table ids and every id seen in
         any layer, in first-seen order (table first, then layers in the order
-        given).
+        given).  A layer whose registry begins the universe keeps its arrays,
+        whose codes and order are then already the network's.
         """
         index: dict[str, int] = {}
         for node in (node_table or {}):
@@ -739,8 +759,12 @@ class MultiplexNetwork:
         for layer in layers:
             if layer.name in remapped:
                 raise ValidationError(f"duplicate layer name {layer.name!r}")
-            lut = np.array([index[node] for node in layer.node_ids], dtype=np.int64)
-            remapped[layer.name] = layer.remapped(registry, lut)
+            if registry[: len(layer.node_ids)] == layer.node_ids:
+                remapped[layer.name] = Layer(layer.name, registry, layer.src, layer.dst,
+                                             layer.weight, layer.days, layer.weighted)
+            else:
+                lut = np.array([index[node] for node in layer.node_ids], dtype=np.int64)
+                remapped[layer.name] = layer.remapped(registry, lut)
         return cls(registry, remapped)
 
     @property

@@ -5,7 +5,8 @@ instead of computing it again.  Two kinds are kept:
 
 - ``layer``: a parsed layer, keyed by the bytes of its CSV file, which is
   read once and parsed from those same bytes, so a pipe works and a file
-  that changes meanwhile is never kept under the wrong key;
+  that changes meanwhile is never kept under the wrong key, and by the ids
+  its registry starts with;
 - ``detection``: a portfolio's result on one layer, keyed by the layer's
   registry and its ``src``, ``dst`` and ``weight`` arrays, the script texts
   and the derived seed.
@@ -103,9 +104,10 @@ def _bytes(data: bytes) -> np.ndarray:
 
 
 def layer(out: str | Path, path: str | Path, name: str,
-          parse: Callable[[bytes | None], Layer]) -> Layer:
+          parse: Callable[[bytes | None], Layer], prefix: Sequence[str] = ()) -> Layer:
     """The layer that ``parse(data)`` reads from ``data``, the bytes of
-    ``path``, kept under those bytes."""
+    ``path``, onto a registry that starts with ``prefix``, kept under those
+    bytes and ids."""
     try:
         data = Path(path).read_bytes()
     except OSError:
@@ -129,7 +131,7 @@ def layer(out: str | Path, path: str | Path, name: str,
             arrays["days"] = found.days
         return arrays
 
-    return _cached(out, "layer", [data], decode, lambda: parse(data), encode)
+    return _cached(out, "layer", [data, _ids(prefix)], decode, lambda: parse(data), encode)
 
 
 def detection(out: str | Path, layer: Layer, scripts: Sequence[ComboScript], seed: int,

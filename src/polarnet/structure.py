@@ -5,16 +5,25 @@ among them, self-links dropped).  On that subnetwork we measure in-degree
 centralization against the in-star maximum, the average directed shortest
 path over reachable ordered pairs, and the k-core decomposition of the
 undirected collapse (a directed total-degree variant is available).
+
+``structure_report`` measures all groups of a layer at once, on the graph of
+their internal links: its nodes are numbered group by group and no link
+joins two groups, so one search and one peel serve every group.  The
+single-group functions run the same kernels on a graph of one group.
 """
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
 from .network import Layer, Partition, merge_links, symmetric_adjacency
+
+# Cells of one breadth-first frontier block (nodes × columns), so that a
+# block takes 4 MB whatever the layer's size.
+_FRONTIER_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,105 @@ def group_subnetwork(layer: Layer, partition: Partition, label: str) -> GroupSub
     )
 
 
+# -- kernels over groups numbered block by block ------------------------------
+#
+# ``sizes[g]`` nodes form group g, numbered after those of groups 0..g-1; the
+# links (src, dst) are distinct, self-link free and never leave their group.
+
+
+def _centralizations(sizes: np.ndarray, dst: np.ndarray) -> list[float]:
+    """Freeman in-degree centralization of each group (every size at least 2)."""
+    k_in = np.bincount(dst, minlength=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    peaks = np.maximum.reduceat(k_in, starts).tolist()
+    totals = np.add.reduceat(k_in, starts).tolist()
+    # sum(k* - k_in) = n k* - sum(k_in); both ints divide as one rounding.
+    return [(n * peak - total) / (n - 1) ** 2
+            for n, peak, total in zip(sizes.tolist(), peaks, totals)]
+
+
+def _path_sums(sizes: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per group: the hop counts of its shortest directed paths added up, and
+    the number of ordered pairs (i != j) that a path joins.
+
+    Breadth-first search as sparse products (Kepner & Gilbert 2011): column
+    j of a frontier starts at the j-th node of every group, so one frontier
+    searches from one node of each group at once, in column blocks of at
+    most ``_FRONTIER_CELLS`` cells.
+    """
+    # Loaded on first call, so that starting the CLI loads no scipy submodule.
+    from scipy.sparse import csc_matrix
+
+    n, count = int(sizes.sum()), len(sizes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    rank = np.arange(n) - np.repeat(starts, sizes)
+    # Column u holds the nodes that u links to.  Bool products add with OR,
+    # so (links @ frontier)[v, j] is exactly whether a frontier node of
+    # column j links to v.
+    links = csc_matrix((np.ones(len(src), dtype=bool), (dst, src)), shape=(n, n))
+    slabs = list(zip(starts.tolist(), ends.tolist()))  # each group's rows
+    hops = np.zeros(count, dtype=np.int64)
+    pairs = np.zeros(count, dtype=np.int64)
+    columns = int(sizes.max(initial=0))
+    step = max(1, _FRONTIER_CELLS // max(n, 1))
+    for first in range(0, columns, step):
+        width = min(step, columns - first)
+        sources = np.flatnonzero((rank >= first) & (rank < first + width))
+        unseen = np.ones((n, width), dtype=bool)
+        unseen[sources, rank[sources] - first] = False
+        frontier = ~unseen
+        for level in itertools.count(1):
+            rows = np.flatnonzero(frontier.any(axis=1))
+            if not len(rows):
+                break
+            # The first levels and the long tail of the last ones hold few
+            # nodes; reading only their links pays once they are a minority.
+            if 2 * len(rows) < n:
+                frontier = links[:, rows] @ frontier[rows]
+            else:
+                frontier = links @ frontier
+            frontier &= unseen
+            unseen ^= frontier
+            new = np.array([np.count_nonzero(frontier[lo:hi]) for lo, hi in slabs],
+                           dtype=np.int64)
+            pairs += new
+            hops += level * new
+    return hops, pairs
+
+
+def _core_numbers(n: int, src: np.ndarray, dst: np.ndarray, convention: str) -> np.ndarray:
+    """Core numbers by level peeling.
+
+    At each level every live node whose degree is at most the level drops at
+    once, and its neighbours lose its links, until no live node is left at
+    that level; the level then rises to the least live degree.  A node's
+    core number is the level it drops at, as in the sequential peel of
+    Batagelj & Zaversnik (2003).
+    """
+    # Each neighbour pair holds its directed links (1 or 2); the undirected
+    # collapse counts a mutual pair as one edge.
+    adj = symmetric_adjacency(n, src, dst, np.ones(len(src)))
+    if convention == "undirected":
+        adj.data[:] = 1.0
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    core = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    level = 0
+    while live.any():
+        drop = live & (degree <= level)
+        if not drop.any():
+            level = int(degree[live].min())
+            continue
+        core[drop] = level
+        live &= ~drop
+        degree -= adj @ drop.astype(np.float64)
+    return core
+
+
+# -- one group ----------------------------------------------------------------
+
+
 def in_degree_centralization(sub: GroupSubnetwork) -> float:
     """Freeman centralization of in-degrees: sum(k*_in - k_in) / (n - 1)^2.
 
@@ -62,8 +170,11 @@ def in_degree_centralization(sub: GroupSubnetwork) -> float:
     """
     if sub.n < 2:
         raise UndefinedMetricError("centralization needs at least 2 nodes")
-    k_in = np.bincount(sub.dst, minlength=sub.n)
-    return float((k_in.max() - k_in).sum() / (sub.n - 1) ** 2)
+    return _centralizations(np.array([sub.n]), sub.dst)[0]
+
+
+def _mean_path(hops: int, pairs: int) -> float | None:
+    return int(hops) / int(pairs) if pairs else None
 
 
 def average_path_length(sub: GroupSubnetwork, *, symmetrize: bool = False) -> float | None:
@@ -75,17 +186,11 @@ def average_path_length(sub: GroupSubnetwork, *, symmetrize: bool = False) -> fl
     """
     if sub.n < 2:
         raise UndefinedMetricError("path length needs at least 2 nodes")
-    # Loaded on first call, so that starting the CLI loads no scipy submodule.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    graph = csr_matrix((np.ones(sub.n_links), (sub.src, sub.dst)), shape=(sub.n, sub.n))
-    dist = shortest_path(graph, directed=not symmetrize, unweighted=True)
-    reached = np.isfinite(dist) & (dist > 0)
-    pairs = int(reached.sum())
-    if pairs == 0:
-        return None
-    return int(dist[reached].sum()) / pairs
+    src, dst = sub.src, sub.dst
+    if symmetrize:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    hops, pairs = _path_sums(np.array([sub.n]), src, dst)
+    return _mean_path(hops[0], pairs[0])
 
 
 CORE_CONVENTIONS = ("undirected", "total_degree")
@@ -97,48 +202,25 @@ class KCoreResult:
     max_kcore: int
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in CORE_CONVENTIONS:
+        raise ValidationError(f"unknown k-core convention {convention!r}")
+
+
 def kcore_decomposition(sub: GroupSubnetwork, *, convention: str = "undirected") -> KCoreResult:
-    """Iterative-pruning core numbers.
+    """Core numbers of the group's nodes.
 
     ``undirected`` collapses mutual links into one edge before counting
     degrees; ``total_degree`` counts in plus out on the directed simple
     graph.  Core numbers do not depend on pruning order; the empty graph is
     all zeros.
     """
-    if convention not in CORE_CONVENTIONS:
-        raise ValidationError(f"unknown k-core convention {convention!r}")
-    n = sub.n
-    # Each neighbour pair holds its directed links (1 or 2); the undirected
-    # collapse counts a mutual pair as one edge.
-    adj = symmetric_adjacency(n, sub.src, sub.dst, np.ones(sub.n_links))
-    if convention == "undirected":
-        adj.data[:] = 1.0
-    bounds = adj.indptr.tolist()
-    nbr, links = adj.indices.tolist(), adj.data.astype(np.int64).tolist()
-    current = np.asarray(adj.sum(axis=1), dtype=np.int64).ravel()
-    # Peel the lowest-degree node repeatedly; the running maximum of the
-    # degree seen at removal time is each node's core number.
-    core = np.zeros(n, dtype=np.int64)
-    removed = np.zeros(n, dtype=bool)
-    heap = [(int(current[i]), i) for i in range(n)]
-    heapq.heapify(heap)
-    level = 0
-    while heap:
-        deg, pick = heapq.heappop(heap)
-        if removed[pick] or deg != current[pick]:
-            continue
-        removed[pick] = True
-        level = max(level, deg)
-        core[pick] = level
-        lo, hi = bounds[pick], bounds[pick + 1]
-        for j, step in zip(nbr[lo:hi], links[lo:hi]):
-            if not removed[j]:
-                current[j] -= step
-                heapq.heappush(heap, (int(current[j]), j))
-    return KCoreResult(
-        {sub.node_ids[i]: int(core[i]) for i in range(n)},
-        int(core.max()) if n else 0,
-    )
+    _check_convention(convention)
+    core = _core_numbers(sub.n, sub.src, sub.dst, convention)
+    return KCoreResult(dict(zip(sub.node_ids, core.tolist())), int(core.max(initial=0)))
+
+
+# -- every group of a layer ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -168,20 +250,31 @@ def structure_report(
     """
     if min_group_size < 2:
         raise ValidationError("min_group_size must be at least 2")
-    counts = np.bincount(partition.codes_on(layer.node_ids), minlength=len(partition.labels))
-    rows = []
-    for label, count in zip(partition.labels, counts.tolist()):
-        if count < min_group_size:
-            continue
-        sub = group_subnetwork(layer, partition, label)
-        rows.append(
-            StructureRow(
-                label=label,
-                n=sub.n,
-                links=sub.n_links,
-                in_degree_centralization=in_degree_centralization(sub),
-                average_path_length=average_path_length(sub),
-                max_kcore=kcore_decomposition(sub, convention=core_convention).max_kcore,
-            )
-        )
-    return tuple(rows)
+    codes = partition.codes_on(layer.node_ids)
+    counts = np.bincount(codes, minlength=len(partition.labels))
+    kept = np.flatnonzero(counts >= min_group_size)
+    if not len(kept):
+        return ()
+    _check_convention(core_convention)
+    slot = np.full(len(partition.labels), -1, dtype=np.int64)
+    slot[kept] = np.arange(len(kept))
+    slots = slot[codes]
+    # Members of the kept groups, group by group, each in registry order.
+    members = np.flatnonzero(slots >= 0)
+    members = members[np.argsort(slots[members], kind="stable")]
+    local = np.full(len(codes), -1, dtype=np.int64)
+    local[members] = np.arange(len(members))
+    src, dst, w = layer.metric_view()
+    inside = (slots[src] == slots[dst]) & (slots[src] >= 0)
+    (src, dst), _ = merge_links(w[inside], local[src[inside]], local[dst[inside]])
+    sizes = counts[kept]
+    group = np.repeat(np.arange(len(kept)), sizes)
+    links = np.bincount(group[src], minlength=len(kept)).tolist()
+    hops, pairs = _path_sums(sizes, src, dst)
+    max_core = np.zeros(len(kept), dtype=np.int64)
+    np.maximum.at(max_core, group, _core_numbers(len(members), src, dst, core_convention))
+    columns = zip(kept.tolist(), sizes.tolist(), links, _centralizations(sizes, dst),
+                  hops.tolist(), pairs.tolist(), max_core.tolist())
+    return tuple(StructureRow(partition.labels[k], n, n_links, centralization,
+                              _mean_path(hop_sum, pair_count), core)
+                 for k, n, n_links, centralization, hop_sum, pair_count, core in columns)

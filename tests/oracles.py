@@ -655,6 +655,102 @@ def ingest_layer_reference(path, schema=None, *, data: bytes | None = None):
     return Layer.from_columns(name, sources, targets, weights, days, weighted=weight_col is not None)
 
 
+def in_degree_centralization_reference(sub) -> float:
+    """``structure.in_degree_centralization``'s replaced form."""
+    from polarnet.errors import UndefinedMetricError
+
+    if sub.n < 2:
+        raise UndefinedMetricError("centralization needs at least 2 nodes")
+    k_in = np.bincount(sub.dst, minlength=sub.n)
+    return float((k_in.max() - k_in).sum() / (sub.n - 1) ** 2)
+
+
+def average_path_length_reference(sub, *, symmetrize: bool = False) -> float | None:
+    """``structure.average_path_length``'s replaced form: one dense distance
+    matrix from ``scipy.sparse.csgraph.shortest_path``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    from polarnet.errors import UndefinedMetricError
+
+    if sub.n < 2:
+        raise UndefinedMetricError("path length needs at least 2 nodes")
+    graph = csr_matrix((np.ones(sub.n_links), (sub.src, sub.dst)), shape=(sub.n, sub.n))
+    dist = shortest_path(graph, directed=not symmetrize, unweighted=True)
+    reached = np.isfinite(dist) & (dist > 0)
+    pairs = int(reached.sum())
+    if pairs == 0:
+        return None
+    return int(dist[reached].sum()) / pairs
+
+
+def kcore_decomposition_reference(sub, *, convention: str = "undirected") -> tuple[dict, int]:
+    """(core numbers, max core) by ``structure.kcore_decomposition``'s replaced
+    form, a heap peel of the lowest-degree node."""
+    from polarnet.errors import ValidationError
+    from polarnet.network import symmetric_adjacency
+
+    if convention not in ("undirected", "total_degree"):
+        raise ValidationError(f"unknown k-core convention {convention!r}")
+    n = sub.n
+    # Each neighbour pair holds its directed links (1 or 2); the undirected
+    # collapse counts a mutual pair as one edge.
+    adj = symmetric_adjacency(n, sub.src, sub.dst, np.ones(sub.n_links))
+    if convention == "undirected":
+        adj.data[:] = 1.0
+    bounds = adj.indptr.tolist()
+    nbr, links = adj.indices.tolist(), adj.data.astype(np.int64).tolist()
+    current = np.asarray(adj.sum(axis=1), dtype=np.int64).ravel()
+    # Peel the lowest-degree node repeatedly; the running maximum of the
+    # degree seen at removal time is each node's core number.
+    core = np.zeros(n, dtype=np.int64)
+    removed = np.zeros(n, dtype=bool)
+    heap = [(int(current[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+    level = 0
+    while heap:
+        deg, pick = heapq.heappop(heap)
+        if removed[pick] or deg != current[pick]:
+            continue
+        removed[pick] = True
+        level = max(level, deg)
+        core[pick] = level
+        lo, hi = bounds[pick], bounds[pick + 1]
+        for j, step in zip(nbr[lo:hi], links[lo:hi]):
+            if not removed[j]:
+                current[j] -= step
+                heapq.heappush(heap, (int(current[j]), j))
+    return {sub.node_ids[i]: int(core[i]) for i in range(n)}, int(core.max()) if n else 0
+
+
+def structure_report_reference(layer, partition, *, min_group_size: int = 200,
+                               core_convention: str = "undirected"):
+    """``structure.structure_report``'s replaced form: one induced subnetwork
+    and one call of each metric per kept group."""
+    from polarnet.errors import ValidationError
+    from polarnet.structure import StructureRow, group_subnetwork
+
+    if min_group_size < 2:
+        raise ValidationError("min_group_size must be at least 2")
+    counts = np.bincount(partition.codes_on(layer.node_ids), minlength=len(partition.labels))
+    rows = []
+    for label, count in zip(partition.labels, counts.tolist()):
+        if count < min_group_size:
+            continue
+        sub = group_subnetwork(layer, partition, label)
+        rows.append(
+            StructureRow(
+                label=label,
+                n=sub.n,
+                links=sub.n_links,
+                in_degree_centralization=in_degree_centralization_reference(sub),
+                average_path_length=average_path_length_reference(sub),
+                max_kcore=kcore_decomposition_reference(sub, convention=core_convention)[1],
+            )
+        )
+    return tuple(rows)
+
+
 def fast_greedy_reference(problem, *, tol: float = 1e-12) -> np.ndarray:
     """Clauset-Newman-Moore agglomeration that updates the survivor's whole row
     with numpy after every merge; the form ``communities._fast_greedy`` replaced.

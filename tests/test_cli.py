@@ -321,6 +321,25 @@ def test_latin1_layer_is_an_error_without_traceback(fixture_dir, capsys):
     assert "Traceback" not in err
 
 
+def test_node_id_past_the_field_size_limit_is_an_error_without_traceback(fixture_dir, capsys):
+    nodes = fixture_dir / "nodes.csv"
+    nodes.write_text(nodes.read_text(encoding="utf-8") + "x" * 140_000 + ",L\n", encoding="utf-8")
+    line = nodes.read_text(encoding="utf-8").count("\n")
+    code = main(["structure", *_base_args(fixture_dir), "--out", str(fixture_dir / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"polarnet: error: {nodes}:{line}: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_bad_node_table_is_reported_before_a_bad_layer(fixture_dir, capsys):
+    (fixture_dir / "retweets.csv").write_text("source,target\na\n", encoding="utf-8")
+    (fixture_dir / "nodes.csv").write_text("node_id,affiliation\nu0\n", encoding="utf-8")
+    code = main(["structure", *_base_args(fixture_dir), "--out", str(fixture_dir / "out")])
+    assert code == 1
+    assert f"polarnet: error: {fixture_dir / 'nodes.csv'}:2:" in capsys.readouterr().err
+
+
 def test_layer_similarity_needs_two_layers(fixture_dir, capsys):
     code = main(
         ["layer-similarity", "--layer", f"retweets={fixture_dir / 'retweets.csv'}",
@@ -708,7 +727,9 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     ("timeseries", ["--window-days", "10", "--step-days", "10"], {"scipy.sparse", "scipy.special"}),
     ("demodularity", ["--min-group-size", "2", "--positions", "positions.csv"], {"scipy.sparse"}),
     ("topics", ["--comments", "comments.csv", "--min-group-size", "4"], {"scipy.sparse"}),
-], ids=["layer-similarity", "timeseries", "demodularity", "topics"])
+    ("structure", ["--min-group-size", "2"],
+     {"scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"}),
+], ids=["layer-similarity", "timeseries", "demodularity", "topics", "structure"])
 def test_command_leaves_unused_scipy_modules_unloaded(fixture_dir, command, extra, absent):
     layers = _base_args(fixture_dir, both_layers=command != "timeseries")
     extra = [str(fixture_dir / arg) if arg.endswith(".csv") else arg for arg in extra]

@@ -107,6 +107,21 @@ def test_latin1_row_fails_at_its_line(tmp_path, kind):
     assert f"{path}:3: not UTF-8 text" in str(err.value)
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_cell_past_the_field_size_limit_fails_at_its_line(tmp_path, kind, quoted):
+    reader, header, rows, spanning = READERS[kind]
+    cell = "x" * (csv.field_size_limit() + 10)
+    long_row = (f'"{cell}"' if quoted else cell) + "," + rows[1].split(",", 1)[1]
+    path = tmp_path / "input.csv"
+    # header on line 1, the spanning row on lines 2-4, the long cell on line 5
+    _write(path, "\n".join([header, spanning, long_row, rows[0]]) + "\n")
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert err.value.line == 5
+    assert f"{path}:5: field larger than field limit ({csv.field_size_limit()})" in str(err.value)
+
+
 def test_latin1_merge_config_fails_at_its_line(tmp_path):
     path = tmp_path / "merge.cfg"
     path.write_bytes("# parties\nLeft=L\nM\xfcller=R\n".encode("latin-1"))

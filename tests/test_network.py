@@ -401,6 +401,47 @@ def test_assemble_registry_order_and_lookup():
         MultiplexNetwork.assemble([a, layer_of(2, [(0, 1)], name="a")])
 
 
+_LAYER_ROWS = st.lists(st.tuples(
+    st.sampled_from(ids(8)), st.sampled_from(ids(8)), st.sampled_from(["1", "2.5"]),
+    st.sampled_from(["", "2013-01-02", "2013-01-01"])), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=st.one_of(st.none(), st.permutations(ids(8)).flatmap(
+        lambda order: st.integers(0, 8).map(lambda k: order[:k]))),
+    layers=st.lists(st.tuples(_LAYER_ROWS, st.booleans()), min_size=1, max_size=3),
+)
+def test_layers_parsed_onto_the_run_registry_assemble_as_parsed_alone(table, layers):
+    """Parsing each layer onto the registry so far (table ids, then earlier
+    layers' ids) gives the network that parsing each on its own gives, and
+    assemble keeps those layers' arrays."""
+    texts = []
+    for rows, weighted in layers:
+        header = "source,target,weight,date\n" if weighted else "source,target,date\n"
+        texts.append((header + "".join(
+            f"{s},{t},{w},{d}\n" if weighted else f"{s},{t},{d}\n" for s, t, w, d in rows
+        )).encode())
+    node_table = None if table is None else dict.fromkeys(table, "")
+    alone = MultiplexNetwork.assemble(
+        [ingest_layer(f"l{k}.csv", data=data) for k, data in enumerate(texts)], node_table)
+    registry = dict.fromkeys(node_table or ())
+    parsed = []
+    for k, data in enumerate(texts):
+        parsed.append(ingest_layer(f"l{k}.csv", data=data, prefix=tuple(registry)))
+        registry.update(dict.fromkeys(parsed[-1].node_ids))
+    network = MultiplexNetwork.assemble(parsed, node_table)
+    assert network.node_ids == alone.node_ids == tuple(registry)
+    for layer in parsed:
+        got, want = network.layer(layer.name), alone.layer(layer.name)
+        assert got.src is layer.src and got.node_ids == network.node_ids
+        for attr in ("src", "dst", "weight"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr), strict=True)
+        assert (got.days is None) == (want.days is None) and got.weighted == want.weighted
+        if got.days is not None:
+            np.testing.assert_array_equal(got.days, want.days, strict=True)
+
+
 # (source, target, weight, day) over six nodes.
 _INDUCED_ROW = st.tuples(
     st.integers(0, 5),

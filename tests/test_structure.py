@@ -1,12 +1,17 @@
 """Group subnetworks, centralization, path lengths and k-cores."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import layer_of, partition_of, random_digraph
-from oracles import apl_oracle, kcore_oracle
-from polarnet.errors import UndefinedMetricError, ValidationError
+from oracles import apl_oracle, kcore_oracle, structure_report_reference
+from polarnet import structure
+from polarnet.errors import PolarnetError, UndefinedMetricError, ValidationError
 from polarnet.network import Partition
 from polarnet.structure import (
     StructureRow,
@@ -264,3 +269,62 @@ def test_structure_report_validates_min_size():
     with pytest.raises(ValidationError):
         structure_report(layer, part, min_group_size=1)
     assert structure_report(layer, part, min_group_size=3) == ()
+
+
+# -- all groups at once against the per-group loop ----------------------------
+
+
+def _outcome(report, *args, **kwargs):
+    try:
+        return report(*args, **kwargs)
+    except PolarnetError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _grouped_layers(draw):
+    """A layer with self-links, isolated nodes and, when weighted, pairs on
+    several days; a partition with declared labels that no node carries and
+    members that the layer lacks."""
+    n = draw(st.integers(1, 24))
+    groups = draw(st.integers(1, 5))
+    codes = draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
+    weighted = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.sampled_from([1.0, 0.5, 2.0]) if weighted else st.just(1.0),
+        st.sampled_from([None, 738000, 738001])), max_size=3 * n))
+    # A path or a clique inside a group makes long paths and deep cores.
+    for g in range(groups):
+        members = [i for i, code in enumerate(codes) if code == g]
+        shape = draw(st.sampled_from(["none", "path", "clique"]))
+        if shape == "path":
+            rows += [(s, t, 1.0, None) for s, t in zip(members, members[1:])]
+        elif shape == "clique":
+            k = draw(st.integers(0, len(members)))
+            rows += [(s, t, 1.0, None) for s in members[:k] for t in members[:k] if s != t]
+    # Nodes past the layer's registry are partition members the layer lacks.
+    extra = draw(st.integers(0, 3))
+    assignment = {f"n{i}": f"g{code}" for i, code in enumerate(codes)}
+    assignment.update({f"x{i}": f"g{i % groups}" for i in range(extra)})
+    labels = tuple(f"g{k}" for k in range(groups + draw(st.integers(0, 2))))
+    return layer_of(n, rows, weighted=weighted), Partition.from_assignment(assignment, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layer_partition=_grouped_layers(),
+    min_group_size=st.integers(0, 6),
+    convention=st.sampled_from(["undirected", "total_degree", "out_only"]),
+    cells=st.sampled_from([structure._FRONTIER_CELLS, 1, 5, 32]),
+)
+@example(layer_partition=(layer_of(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 0)]),
+                          partition_of(6, [0, 0, 0, 1, 1, 1])),
+         min_group_size=2, convention="total_degree", cells=5)
+def test_structure_report_equals_the_per_group_reference(layer_partition, min_group_size,
+                                                         convention, cells):
+    layer, partition = layer_partition
+    kwargs = dict(min_group_size=min_group_size, core_convention=convention)
+    with mock.patch.object(structure, "_FRONTIER_CELLS", cells):
+        got = _outcome(structure_report, layer, partition, **kwargs)
+    assert got == _outcome(structure_report_reference, layer, partition, **kwargs)
