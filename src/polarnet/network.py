@@ -351,9 +351,12 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, 
         yield line, cells
 
 
-def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, list[str], bool]:
+def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, list[str], bool, ParseError | None]:
     """The width of every non-blank row of a layer CSV, the cells of all rows
-    in one list, in row order, and whether the first row starts on line 1.
+    in one list, in row order, whether the first row starts on line 1, and
+    the ParseError of a row the csv module cannot cut (None if there is
+    none).  The rows are then those before it, so that a bad row among them
+    is still reported first.
 
     A table with no quote, NUL or lone carriage return and no blank line,
     whose rows are all of one width and whose cells fit the csv module's
@@ -381,16 +384,22 @@ def _layer_cells(path: Path, data: bytes) -> tuple[np.ndarray, list[str], bool]:
                 and (len(flat) <= csv.field_size_limit()
                      or max(map(len, cells)) <= csv.field_size_limit())):
             del cells[width::width + 1]
-            return np.full(count, width), cells, True
+            return np.full(count, width), cells, True, None
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error:
-        for _ in csv_rows(path, data):  # raises it as a ParseError at its line
-            pass
-        raise
-    kept = [cells for cells in rows if len(cells) > 1 or (cells and cells[0].strip())]
+        numbered, unread = [], None
+        try:
+            numbered.extend(csv_rows(path, data))
+        except ParseError as exc:  # the error of csv_rows names its line
+            unread = exc
+        kept = [cells for _, cells in numbered]
+        at_line_1 = bool(numbered) and numbered[0][0] == 1
+    else:
+        kept = [cells for cells in rows if len(cells) > 1 or (cells and cells[0].strip())]
+        at_line_1, unread = bool(kept) and kept[0] is rows[0], None
     widths = np.fromiter(map(len, kept), np.int64, len(kept))
-    return widths, list(itertools.chain.from_iterable(kept)), bool(kept) and kept[0] is rows[0]
+    return widths, list(itertools.chain.from_iterable(kept)), at_line_1, unread
 
 
 def _row_at(path: Path, data: bytes, index: int) -> tuple[int, list[str]]:
@@ -496,8 +505,10 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
     name = (schema.name if schema else None) or path.stem
     if data is None:
         data = path.read_bytes()
-    widths, cells, at_line_1 = _layer_cells(path, data)
+    widths, cells, at_line_1, unread = _layer_cells(path, data)
     if not len(widths):
+        if unread is not None:
+            raise unread
         return Layer.from_columns(name, [], [], [], [], weighted=False, prefix=prefix)
     head = cells[: widths[0]]
     header = [cell.strip().casefold() for cell in head]
@@ -553,6 +564,8 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
         _check_row(row, line, where, cols, columns, total)
         raise AssertionError(f"{where}:{line}: the column checks reject a row "
                              "that the row check accepts")
+    if unread is not None:
+        raise unread
     return Layer.from_columns(name, sources, targets, weights, days,
                               weighted=weight_col is not None, prefix=prefix)
 

@@ -22,8 +22,11 @@ from .errors import UndefinedMetricError, ValidationError
 from .network import Layer, Partition, merge_links, symmetric_adjacency
 
 # Cells of one breadth-first frontier block (nodes × columns), so that a
-# block takes 4 MB whatever the layer's size.
+# block's bool arrays take 4 MB each whatever the layer's size.
 _FRONTIER_CELLS = 2 ** 22
+# A search level whose frontier holds at least 1/_DENSE_SHARE of its block's
+# cells is one sparse product over the whole block.
+_DENSE_SHARE = 128
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,28 @@ def _centralizations(sizes: np.ndarray, dst: np.ndarray) -> list[float]:
             for n, peak, total in zip(sizes.tolist(), peaks, totals)]
 
 
+def _link_positions(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the links of ``nodes`` sit in a compressed sparse matrix's index
+    array, node by node, and how many links each node has."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total), counts
+
+
 def _path_sums(sizes: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per group: the hop counts of its shortest directed paths added up, and
     the number of ordered pairs (i != j) that a path joins.
 
-    Breadth-first search as sparse products (Kepner & Gilbert 2011): column
-    j of a frontier starts at the j-th node of every group, so one frontier
-    searches from one node of each group at once, in column blocks of at
-    most ``_FRONTIER_CELLS`` cells.
+    Breadth-first search from every node at once (Kepner & Gilbert 2011):
+    column j of an n×w frontier starts at the j-th node of every group, so
+    one frontier searches from one node of each group, in column blocks of
+    at most ``_FRONTIER_CELLS`` cells.  A level whose frontier holds at
+    least 1/``_DENSE_SHARE`` of the block's cells is one sparse product over
+    the whole block.  A thinner level, as in the first levels and along
+    long paths, follows only the links of its frontier cells, held as flat
+    indices (node·w + column), so that it costs what it reaches, not n·w.
     """
     # Loaded on first call, so that starting the CLI loads no scipy submodule.
     from scipy.sparse import csc_matrix
@@ -96,35 +113,55 @@ def _path_sums(sizes: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.
     ends = np.cumsum(sizes)
     starts = ends - sizes
     rank = np.arange(n) - np.repeat(starts, sizes)
+    group = np.repeat(np.arange(count), sizes)
     # Column u holds the nodes that u links to.  Bool products add with OR,
     # so (links @ frontier)[v, j] is exactly whether a frontier node of
     # column j links to v.
     links = csc_matrix((np.ones(len(src), dtype=bool), (dst, src)), shape=(n, n))
-    slabs = list(zip(starts.tolist(), ends.tolist()))  # each group's rows
+    heads = links.indices.astype(np.int64)
     hops = np.zeros(count, dtype=np.int64)
     pairs = np.zeros(count, dtype=np.int64)
     columns = int(sizes.max(initial=0))
     step = max(1, _FRONTIER_CELLS // max(n, 1))
+    # A thin level writes each reached cell's place in its list here and
+    # keeps the cells that read their own place back: one of each, unsorted.
+    places = np.empty(n * min(step, columns), dtype=np.int64)
     for first in range(0, columns, step):
         width = min(step, columns - first)
-        sources = np.flatnonzero((rank >= first) & (rank < first + width))
-        unseen = np.ones((n, width), dtype=bool)
-        unseen[sources, rank[sources] - first] = False
-        frontier = ~unseen
+        slabs = list(zip((starts * width).tolist(), (ends * width).tolist()))
+        node = np.flatnonzero((rank >= first) & (rank < first + width))
+        cells = node * width + rank[node] - first
+        unseen = np.ones(n * width, dtype=bool)
+        unseen[cells] = False
+        size, frontier = len(cells), None
         for level in itertools.count(1):
-            rows = np.flatnonzero(frontier.any(axis=1))
-            if not len(rows):
-                break
-            # The first levels and the long tail of the last ones hold few
-            # nodes; reading only their links pays once they are a minority.
-            if 2 * len(rows) < n:
-                frontier = links[:, rows] @ frontier[rows]
+            if _DENSE_SHARE * size >= n * width:
+                if frontier is None:
+                    frontier = np.zeros(n * width, dtype=bool)
+                    frontier[cells] = True
+                frontier = (links @ frontier.reshape(n, width)).ravel()
+                frontier &= unseen
+                unseen ^= frontier
+                new = np.array([np.count_nonzero(frontier[lo:hi]) for lo, hi in slabs],
+                               dtype=np.int64)
+                cells = None
             else:
-                frontier = links @ frontier
-            frontier &= unseen
-            unseen ^= frontier
-            new = np.array([np.count_nonzero(frontier[lo:hi]) for lo, hi in slabs],
-                           dtype=np.int64)
+                if cells is None:
+                    cells = np.flatnonzero(frontier)
+                    node = cells // width
+                    frontier = None
+                at, fanout = _link_positions(links.indptr, node)
+                reached = heads[at] * width + np.repeat(cells - node * width, fanout)
+                reached = reached[unseen[reached]]
+                place = np.arange(len(reached))
+                places[reached] = place
+                cells = reached[places[reached] == place]
+                unseen[cells] = False
+                node = cells // width
+                new = np.bincount(group[node], minlength=count)
+            size = int(new.sum())
+            if not size:
+                break
             pairs += new
             hops += level * new
     return hops, pairs
@@ -137,7 +174,9 @@ def _core_numbers(n: int, src: np.ndarray, dst: np.ndarray, convention: str) -> 
     once, and its neighbours lose its links, until no live node is left at
     that level; the level then rises to the least live degree.  A node's
     core number is the level it drops at, as in the sequential peel of
-    Batagelj & Zaversnik (2003).
+    Batagelj & Zaversnik (2003).  After the first round of a level only the
+    neighbours of the nodes just dropped can drop, so a round reads only
+    those, and a long path costs what it holds.
     """
     # Each neighbour pair holds its directed links (1 or 2); the undirected
     # collapse counts a mutual pair as one edge.
@@ -148,14 +187,17 @@ def _core_numbers(n: int, src: np.ndarray, dst: np.ndarray, convention: str) -> 
     core = np.zeros(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     level = 0
-    while live.any():
-        drop = live & (degree <= level)
-        if not drop.any():
+    drop = np.flatnonzero(degree <= level)
+    while len(drop) or live.any():
+        if not len(drop):
             level = int(degree[live].min())
-            continue
+            drop = np.flatnonzero(live & (degree <= level))
         core[drop] = level
-        live &= ~drop
-        degree -= adj @ drop.astype(np.float64)
+        live[drop] = False
+        at, _ = _link_positions(adj.indptr, drop)
+        touched = adj.indices[at]
+        np.subtract.at(degree, touched, adj.data[at])
+        drop = np.unique(touched[live[touched] & (degree[touched] <= level)])
     return core
 
 

@@ -294,6 +294,8 @@ def _outcome(read, data: bytes):
 @example(data="\ufeffa,b, 1e308 \r\n\r\nb,a,1.7e308\r\n".encode())
 @example(data=b"a,b\n" + b"c" * (csv.field_size_limit() + 1) + b",d\n")
 @example(data=b"a,b\nc\x00,d\n")
+@example(data=b"a,b,heavy\nc,d,1\n" + b"e" * (csv.field_size_limit() + 1) + b",f,1\n")
+@example(data=b"a,b,1\nc,d\n\"e\nf\",\"" + b"g" * (csv.field_size_limit() + 1) + b"\"\n")
 def test_ingest_equals_the_row_loop_reference(data):
     """Whole-column reading gives the row loop's layer, or its first error."""
     assert _outcome(ingest_layer, data) == _outcome(ingest_layer_reference, data)

@@ -317,14 +317,32 @@ def _grouped_layers(draw):
     min_group_size=st.integers(0, 6),
     convention=st.sampled_from(["undirected", "total_degree", "out_only"]),
     cells=st.sampled_from([structure._FRONTIER_CELLS, 1, 5, 32]),
+    # 1 makes almost every search level thin, 10**9 every level dense.
+    share=st.sampled_from([structure._DENSE_SHARE, 1, 4, 10 ** 9]),
 )
 @example(layer_partition=(layer_of(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 0)]),
                           partition_of(6, [0, 0, 0, 1, 1, 1])),
-         min_group_size=2, convention="total_degree", cells=5)
+         min_group_size=2, convention="total_degree", cells=5, share=4)
+@example(layer_partition=(layer_of(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
+                          partition_of(5, [0, 0, 0, 0, 0])),
+         min_group_size=2, convention="undirected", cells=structure._FRONTIER_CELLS, share=1)
+@example(layer_partition=(layer_of(6, [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)]),
+                          partition_of(6, [0, 0, 0, 0, 0, 0])),
+         min_group_size=2, convention="undirected", cells=structure._FRONTIER_CELLS,
+         share=structure._DENSE_SHARE)
+# A 300-node chain and cycle beside a clique: hundreds of thin levels and
+# peel rounds, in several column blocks.
+@example(layer_partition=(
+    layer_of(612, [(i, i + 1) for i in range(299)]
+             + [(300 + i, 300 + (i + 1) % 300) for i in range(300)]
+             + [(600 + s, 600 + t) for s in range(12) for t in range(12) if s != t]),
+    partition_of(612, [0] * 300 + [1] * 300 + [2] * 12)),
+    min_group_size=2, convention="undirected", cells=612 * 50, share=structure._DENSE_SHARE)
 def test_structure_report_equals_the_per_group_reference(layer_partition, min_group_size,
-                                                         convention, cells):
+                                                         convention, cells, share):
     layer, partition = layer_partition
     kwargs = dict(min_group_size=min_group_size, core_convention=convention)
-    with mock.patch.object(structure, "_FRONTIER_CELLS", cells):
+    with (mock.patch.object(structure, "_FRONTIER_CELLS", cells),
+          mock.patch.object(structure, "_DENSE_SHARE", share)):
         got = _outcome(structure_report, layer, partition, **kwargs)
     assert got == _outcome(structure_report_reference, layer, partition, **kwargs)
