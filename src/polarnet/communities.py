@@ -588,13 +588,6 @@ def derive_seed(root: int, *path: int) -> int:
     return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
 
 
-def refine_reposition(layer: Layer, start: Partition) -> DetectionResult:
-    """Single-node move refinement of a starting partition; Q never drops."""
-    problem = _Problem(layer)
-    codes = _reposition(problem, start.codes_on(layer.node_ids))
-    return DetectionResult.from_codes(layer.node_ids, "r-1", None, codes, problem.q(codes))
-
-
 def run_combo(layer: Layer, script: ComboScript | str, seed: int | None = None) -> DetectionResult:
     """Execute one combo script and return its best partition.
 

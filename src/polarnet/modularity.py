@@ -66,29 +66,15 @@ class ScaledLayer:
         return float(q)
 
 
-def q_modularity(
-    layer: Layer,
-    partition: Partition | None,
-    *,
-    codes: np.ndarray | None = None,
-) -> float:
-    """Directed Q = (1/m) * sum_ij [A_ij - k_out_i * k_in_j / m] delta(c_i, c_j).
-
-    ``codes``, one group code per registry index, may stand in for the
-    partition, which is then None and the groups 0..max(codes); the CLI
-    passes partitions, and ``leave_one_out_q`` codes.
-    """
+def q_modularity(layer: Layer, partition: Partition) -> float:
+    """Directed Q = (1/m) * sum_ij [A_ij - k_out_i * k_in_j / m] delta(c_i, c_j)."""
     view = ScaledLayer(layer)
-    if codes is None:
-        if partition is None:
-            raise ValidationError("need a partition or precomputed codes")
-        codes = partition.codes_on(layer.node_ids)
-    return view.q(codes, len(partition.labels) if partition is not None else None)
+    return view.q(partition.codes_on(layer.node_ids), len(partition.labels))
 
 
 def leave_one_out_q(layer: Layer, codes: np.ndarray, nodes: Sequence[int]) -> list[float | None]:
-    """``q_modularity(layer.without_node(v), None, codes=codes)`` for each v in
-    ``nodes``, None where no non-self link is left, in closed form.
+    """``ScaledLayer(layer.without_node(v)).q(codes)`` for each v in ``nodes``,
+    None where no non-self link is left, in closed form.
 
     Removing v changes Q only through v's own sums: m loses v's strengths
     s_out + s_in, the intra-group weight loses v's links to and from its
@@ -130,7 +116,7 @@ def leave_one_out_q(layer: Layer, codes: np.ndarray, nodes: Sequence[int]) -> li
     return [
         float(q[i]) if closed[i]
         else None if links_left[i] == 0
-        else q_modularity(layer.without_node(int(nodes[i])), None, codes=codes)
+        else ScaledLayer(layer.without_node(int(nodes[i]))).q(codes)
         for i in range(len(nodes))
     ]
 
@@ -237,23 +223,3 @@ def demodularity_matrix(
         values = np.ldexp(values, view.e)
     np.fill_diagonal(values, np.nan)
     return DemodularityMatrix(partition.labels, values, tuple(undefined), normalization)
-
-
-def decomposition_residual(layer: Layer, partition: Partition) -> float:
-    """sum_ft m_f * Q̄_ft + m * Q, which the implementation keeps at zero.
-
-    Stated for the out_weight convention, where the row normalizers cancel
-    back to plain cross-group sums.
-    """
-    matrix = demodularity_matrix(layer, partition, normalization="out_weight")
-    view = ScaledLayer(layer)
-    codes = partition.codes_on(layer.node_ids)
-    groups = len(partition.labels)
-    norms = _group_normalizers(view, codes, groups, "out_weight")
-    total = view.m * view.q(codes, groups)
-    for f in range(groups):
-        for t in range(groups):
-            if f == t or np.isnan(matrix.values[f, t]):
-                continue
-            total += norms[f] * matrix.values[f, t]
-    return math.ldexp(total, view.e)

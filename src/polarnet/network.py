@@ -15,11 +15,11 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from xml.etree import ElementTree
 
 import numpy as np
@@ -37,16 +37,6 @@ LAYER_COLUMNS = ("source", "target", "weight", "date")
 
 # The only date form a cell may hold: YYYY-MM-DD.
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-@dataclass(frozen=True)
-class LayerLink:
-    """One directed link inside a layer, as ``Layer.links`` yields it."""
-
-    source: str
-    target: str
-    weight: float = 1.0
-    timestamp: date | None = None
 
 
 @dataclass(frozen=True)
@@ -157,19 +147,6 @@ class Layer:
     def has_timestamps(self) -> bool:
         return self.days is not None
 
-    def links(self) -> Iterator[LayerLink]:
-        days = self.days
-        for i in range(self.n_links):
-            day = None
-            if days is not None and days[i] != MISSING_DAY:
-                day = date.fromordinal(int(days[i]))
-            yield LayerLink(
-                self.node_ids[int(self.src[i])],
-                self.node_ids[int(self.dst[i])],
-                float(self.weight[i]),
-                day,
-            )
-
     def metric_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, weight) with self-links removed; the view metrics see."""
         if self._metric_view is None:
@@ -199,23 +176,6 @@ class Layer:
         """The layer with node index v and its incident links removed."""
         keep = (self.src != v) & (self.dst != v)
         return self._masked(keep, node_count=self.node_count - 1)
-
-    def remapped(self, node_ids: tuple[str, ...], lut: np.ndarray) -> "Layer":
-        """Re-express link endpoints against a new registry via a lookup table."""
-        src = lut[self.src]
-        dst = lut[self.dst]
-        days = self.days
-        order_day = np.zeros(len(src), dtype=np.int64) if days is None else days
-        order = np.lexsort((order_day, dst, src))
-        return Layer(
-            self.name,
-            node_ids,
-            src[order],
-            dst[order],
-            self.weight[order],
-            None if days is None else days[order],
-            self.weighted,
-        )
 
 
 def merge_links(weight: np.ndarray, *keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -570,23 +530,22 @@ def ingest_layer(path: str | Path, schema: LayerSchema | None = None, *,
                               weighted=weight_col is not None, prefix=prefix)
 
 
+def _link_cells(layer: Layer) -> Iterator[tuple[str, str, str, str]]:
+    """The (source, target, weight, date) cells of each link, in array order;
+    the date cell is empty where the link is undated."""
+    ids = layer.node_ids
+    days = itertools.repeat(MISSING_DAY) if layer.days is None else layer.days.tolist()
+    for s, t, w, day in zip(layer.src.tolist(), layer.dst.tolist(), layer.weight.tolist(), days):
+        yield ids[s], ids[t], repr(w), "" if day == MISSING_DAY else date.fromordinal(day).isoformat()
+
+
 def export_layer_csv(layer: Layer, path: str | Path) -> None:
     """Serialize a layer to its canonical CSV form (round-trips via ingest)."""
-    header = ["source", "target"]
-    if layer.weighted:
-        header.append("weight")
-    if layer.has_timestamps:
-        header.append("date")
+    keep = (True, True, layer.weighted, layer.has_timestamps)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for link in layer.links():
-            row = [link.source, link.target]
-            if layer.weighted:
-                row.append(repr(link.weight))
-            if layer.has_timestamps:
-                row.append(link.timestamp.isoformat() if link.timestamp else "")
-            writer.writerow(row)
+        writer.writerow(itertools.compress(LAYER_COLUMNS, keep))
+        writer.writerows(itertools.compress(cells, keep) for cells in _link_cells(layer))
 
 
 # -- node tables and party merge -------------------------------------------
@@ -696,9 +655,6 @@ class Partition:
         """A new node -> label dict, in registry order."""
         return dict(zip(self.node_ids, map(self.labels.__getitem__, self.codes.tolist())))
 
-    def label_of(self, node: str) -> str:
-        return self.labels[self.codes_on((node,))[0]]
-
     def codes_on(self, node_ids: Sequence[str]) -> np.ndarray:
         """The group code of each of ``node_ids``: ``codes`` itself when they
         are this partition's registry, else gathered through ``index``.
@@ -759,26 +715,26 @@ class MultiplexNetwork:
         The node universe is the union of node-table ids and every id seen in
         any layer, in first-seen order (table first, then layers in the order
         given).  A layer whose registry begins the universe keeps its arrays,
-        whose codes and order are then already the network's.
+        whose codes and order are then already the network's; any other layer
+        is rebuilt from its links over the universe.
         """
-        index: dict[str, int] = {}
-        for node in (node_table or {}):
-            index.setdefault(node, len(index))
+        registry = tuple(dict.fromkeys(
+            itertools.chain(node_table or (), *(layer.node_ids for layer in layers))))
+        unified: dict[str, Layer] = {}
         for layer in layers:
-            for node in layer.node_ids:
-                index.setdefault(node, len(index))
-        registry = tuple(index)
-        remapped: dict[str, Layer] = {}
-        for layer in layers:
-            if layer.name in remapped:
+            if layer.name in unified:
                 raise ValidationError(f"duplicate layer name {layer.name!r}")
             if registry[: len(layer.node_ids)] == layer.node_ids:
-                remapped[layer.name] = Layer(layer.name, registry, layer.src, layer.dst,
-                                             layer.weight, layer.days, layer.weighted)
+                unified[layer.name] = Layer(layer.name, registry, layer.src, layer.dst,
+                                            layer.weight, layer.days, layer.weighted)
             else:
-                lut = np.array([index[node] for node in layer.node_ids], dtype=np.int64)
-                remapped[layer.name] = layer.remapped(registry, lut)
-        return cls(registry, remapped)
+                ids = layer.node_ids
+                days = np.full(layer.n_links, MISSING_DAY) if layer.days is None else layer.days
+                unified[layer.name] = Layer.from_columns(
+                    layer.name, [ids[i] for i in layer.src.tolist()],
+                    [ids[i] for i in layer.dst.tolist()], layer.weight, days,
+                    weighted=layer.weighted, node_ids=registry)
+        return cls(registry, unified)
 
     @property
     def n(self) -> int:
@@ -830,7 +786,6 @@ class MultiplexNetwork:
         return MultiplexNetwork(registry, new_layers)
 
 
-
 def filter_partition(
     network: MultiplexNetwork, partition: Partition, drop_label: str
 ) -> tuple[MultiplexNetwork, Partition]:
@@ -847,48 +802,6 @@ def filter_partition(
     filtered = network.induced(itertools.compress(network.node_ids, keep))
     labels = partition.labels[:drop] + partition.labels[drop + 1:]
     return filtered, Partition(filtered.node_ids, (codes - (codes > drop))[keep], labels)
-
-
-# -- synthetic graphs ------------------------------------------------------
-
-
-def generate_planted_partition(
-    groups: int,
-    size: int,
-    p_in: float,
-    p_out: float,
-    seed: int,
-    layer_name: str = "links",
-) -> tuple[MultiplexNetwork, Partition]:
-    """Directed planted-partition graph with known group labels.
-
-    Every ordered intra-group pair links with probability p_in, every
-    inter-group pair with p_out; no self-links.  Same seed, same graph.
-    """
-    if groups < 1 or size < 1:
-        raise ValidationError("groups and size must be positive")
-    if not (0.0 <= p_out < p_in <= 1.0):
-        raise ValidationError("need 0 <= p_out < p_in <= 1")
-    n = groups * size
-    codes = np.repeat(np.arange(groups, dtype=np.int64), size)
-    rng = np.random.default_rng(seed)
-    draw = rng.random((n, n))
-    prob = np.where(codes[:, None] == codes[None, :], p_in, p_out)
-    adjacency = draw < prob
-    np.fill_diagonal(adjacency, False)
-    src, dst = np.nonzero(adjacency)  # row-major: sorted by (src, dst)
-    node_ids = tuple(f"n{i}" for i in range(n))
-    layer = Layer(
-        layer_name,
-        node_ids,
-        src.astype(np.int64),
-        dst.astype(np.int64),
-        np.ones(len(src), dtype=np.float64),
-        None,
-        False,
-    )
-    network = MultiplexNetwork.assemble([layer], node_table=None)
-    return network, Partition(network.node_ids, codes, tuple(f"g{k}" for k in range(groups)))
 
 
 # -- graph export ----------------------------------------------------------
@@ -920,13 +833,13 @@ def export_graphml(
         el = ElementTree.SubElement(graph, "node", id=network.node_ids[i])
         if codes is not None:
             ElementTree.SubElement(el, "data", key="d0").text = partition.labels[codes[i]]
-    for name in network.layers:
-        for link in network.layers[name].links():
-            el = ElementTree.SubElement(graph, "edge", source=link.source, target=link.target)
+    for name, layer in network.layers.items():
+        for source, target, weight, day in _link_cells(layer):
+            el = ElementTree.SubElement(graph, "edge", source=source, target=target)
             ElementTree.SubElement(el, "data", key="d1").text = name
-            ElementTree.SubElement(el, "data", key="d2").text = repr(link.weight)
-            if link.timestamp is not None:
-                ElementTree.SubElement(el, "data", key="d3").text = link.timestamp.isoformat()
+            ElementTree.SubElement(el, "data", key="d2").text = weight
+            if day:
+                ElementTree.SubElement(el, "data", key="d3").text = day
     tree = ElementTree.ElementTree(root)
     ElementTree.indent(tree)
     tree.write(path, encoding="utf-8", xml_declaration=True)

@@ -1,11 +1,13 @@
 """Builders shared across the test modules."""
 from __future__ import annotations
 
+from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from polarnet.network import MISSING_DAY, Layer, Partition
+from polarnet.errors import ValidationError
+from polarnet.network import MISSING_DAY, Layer, MultiplexNetwork, Partition
 
 
 def ids(n: int) -> tuple[str, ...]:
@@ -26,6 +28,15 @@ def layer_of(
         day = rest[1] if len(rest) > 1 else None
         rows.append((f"n{s}", f"n{t}", w, day))
     return Layer.from_columns(name, *columns(rows), weighted=weighted, node_ids=ids(n))
+
+
+def links_of(layer: Layer) -> list[tuple[str, str, float, date | None]]:
+    """(source, target, weight, date or None) of each link of a layer, in array order."""
+    days = [MISSING_DAY] * layer.n_links if layer.days is None else layer.days.tolist()
+    return [
+        (layer.node_ids[s], layer.node_ids[t], w, None if day == MISSING_DAY else date.fromordinal(day))
+        for s, t, w, day in zip(layer.src.tolist(), layer.dst.tolist(), layer.weight.tolist(), days)
+    ]
 
 
 def columns(rows: Sequence[tuple]) -> tuple[list, list, list, list]:
@@ -91,3 +102,42 @@ def random_dated_links(
         seen.add((s, t, day))
         links.append((s, t, 1.0, day))
     return links
+
+
+def generate_planted_partition(
+    groups: int,
+    size: int,
+    p_in: float,
+    p_out: float,
+    seed: int,
+    layer_name: str = "links",
+) -> tuple[MultiplexNetwork, Partition]:
+    """Directed planted-partition graph with known group labels.
+
+    Every ordered intra-group pair links with probability p_in, every
+    inter-group pair with p_out; no self-links.  Same seed, same graph.
+    """
+    if groups < 1 or size < 1:
+        raise ValidationError("groups and size must be positive")
+    if not (0.0 <= p_out < p_in <= 1.0):
+        raise ValidationError("need 0 <= p_out < p_in <= 1")
+    n = groups * size
+    codes = np.repeat(np.arange(groups, dtype=np.int64), size)
+    rng = np.random.default_rng(seed)
+    draw = rng.random((n, n))
+    prob = np.where(codes[:, None] == codes[None, :], p_in, p_out)
+    adjacency = draw < prob
+    np.fill_diagonal(adjacency, False)
+    src, dst = np.nonzero(adjacency)  # row-major: sorted by (src, dst)
+    node_ids = tuple(f"n{i}" for i in range(n))
+    layer = Layer(
+        layer_name,
+        node_ids,
+        src.astype(np.int64),
+        dst.astype(np.int64),
+        np.ones(len(src), dtype=np.float64),
+        None,
+        False,
+    )
+    network = MultiplexNetwork.assemble([layer], node_table=None)
+    return network, Partition(network.node_ids, codes, tuple(f"g{k}" for k in range(groups)))

@@ -9,6 +9,8 @@ functions and ``eo_bisect_oracle`` are the exception: they keep a replaced
 path verbatim, so a test can demand bit-identical results from its
 successor, and so do ``DictPartition``, ``apply_party_merge_oracle`` and
 ``filter_partition_oracle``, the node -> label dict form of a partition.
+``decomposition_residual`` also runs the package's own sums, to check that
+the demodularity rows and Q add up to one total.
 """
 from __future__ import annotations
 
@@ -749,6 +751,28 @@ def structure_report_reference(layer, partition, *, min_group_size: int = 200,
             )
         )
     return tuple(rows)
+
+
+def decomposition_residual(layer: Layer, partition: Partition) -> float:
+    """sum_ft m_f * Q̄_ft + m * Q, which the implementation keeps at zero.
+
+    Stated for the out_weight convention, where the row normalizers cancel
+    back to plain cross-group sums.
+    """
+    from polarnet.modularity import ScaledLayer, _group_normalizers, demodularity_matrix
+
+    matrix = demodularity_matrix(layer, partition, normalization="out_weight")
+    view = ScaledLayer(layer)
+    codes = partition.codes_on(layer.node_ids)
+    groups = len(partition.labels)
+    norms = _group_normalizers(view, codes, groups, "out_weight")
+    total = view.m * view.q(codes, groups)
+    for f in range(groups):
+        for t in range(groups):
+            if f == t or np.isnan(matrix.values[f, t]):
+                continue
+            total += norms[f] * matrix.values[f, t]
+    return math.ldexp(total, view.e)
 
 
 def fast_greedy_reference(problem, *, tol: float = 1e-12) -> np.ndarray:

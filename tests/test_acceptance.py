@@ -16,7 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ids, layer_of, partition_of, random_codes, random_dated_links, random_digraph
+from helpers import (
+    generate_planted_partition,
+    ids,
+    layer_of,
+    partition_of,
+    random_codes,
+    random_dated_links,
+    random_digraph,
+)
 from oracles import (
     best_partition_oracle,
     chi2_sf_oracle,
@@ -44,7 +52,6 @@ from polarnet.network import (
     LayerSchema,
     MultiplexNetwork,
     Partition,
-    generate_planted_partition,
     ingest_layer,
 )
 from polarnet.structure import (

@@ -13,13 +13,17 @@ from pathlib import Path
 import pytest
 
 import polarnet
+from helpers import links_of
 from polarnet import infometrics
 from polarnet.cli import main
 from polarnet.infometrics import jackknife, link_nmi, partial_jaccard
-from polarnet.modularity import q_modularity
+from polarnet.modularity import ScaledLayer, q_modularity
 from polarnet.network import (
+    LayerSchema,
     MultiplexNetwork,
     apply_party_merge,
+    export_graphml,
+    export_layer_csv,
     filter_partition,
     ingest_layer,
     read_merge_config,
@@ -120,8 +124,6 @@ def _library_view(fix: Path):
     """Assemble the same network/partition the CLI builds from the fixture."""
     layers = []
     for name in ("retweets", "replies"):
-        from polarnet.network import LayerSchema
-
         layers.append(ingest_layer(fix / f"{name}.csv", LayerSchema(name=name)))
     table = read_node_table(fix / "nodes.csv")
     network = MultiplexNetwork.assemble(layers, table)
@@ -405,7 +407,7 @@ def test_jackknife_cells_equal_brute_force_jackknife(fixture_dir):
         if row["variant"] == "excl_unaligned":
             net, part = filter_partition(network, partition, merge.unaligned_label)
         codes = part.codes_on(net.node_ids)
-        metric = lambda sub, name=row["layer"]: q_modularity(sub.layer(name), None, codes=codes)
+        metric = lambda sub, name=row["layer"]: ScaledLayer(sub.layer(name)).q(codes)
         assert [row["jack_mean"], row["two_sigma"], row["unreliable"]] == cells(metric, net)
 
     rows = _read_rows(out / "layer_similarity.csv")
@@ -649,12 +651,7 @@ def test_export_round_trips_link_multiset(fixture_dir):
     assert code == 0
 
     def multiset(path):
-        from polarnet.network import LayerSchema
-
-        layer = ingest_layer(path, LayerSchema(name="retweets"))
-        return sorted(
-            (l.source, l.target, l.weight, l.timestamp) for l in layer.links()
-        )
+        return sorted(links_of(ingest_layer(path, LayerSchema(name="retweets"))))
 
     assert multiset(first / "retweets.csv") == multiset(fixture_dir / "retweets.csv")
     # Same input must serialize to the same bytes.
@@ -678,6 +675,267 @@ def test_export_graphml_carries_party_labels(fixture_dir):
     assert "unaligned" in text and "A" in text
     nodes = [el for el in tree.iter() if el.tag == "node" or el.tag.endswith("}node")]
     assert len(nodes) == 10
+
+
+# Layers weighted and not, dated, undated and mixed, over ids holding a
+# comma, a quote and a non-ASCII character; rows merge and one is a self-link.
+EXPORT_INPUTS = {
+    "nodes.csv": """node_id,affiliation
+"a,1",L
+"q""x",R
+ü,L
+z,
+""",
+    "merge.cfg": """L=left
+R=right
+""",
+    "support.csv": """source,target,weight,date
+"a,1",ü,1.5,2021-03-02
+"a,1",ü,2,2021-03-02
+ü,"q""x",0.1,2021-03-01
+ü,"q""x",0.2,2021-03-01
+b,b,3,2021-03-05
+"q""x","a,1",4,2021-02-28
+""",
+    "like.csv": """"q""x",ü
+ü,"a,1"
+"q""x",ü
+c,"a,1"
+""",
+    "comment.csv": """ü,c,0.25
+"a,1",c,7
+ü,c,0.5
+""",
+    "share.csv": """source,target,date
+ü,c,
+ü,c,2021-04-01
+"a,1",z,
+z,ü,2021-04-02
+z,ü,2021-03-30
+""",
+    "mixed.csv": """source,target,weight,date
+c,"q""x",2,
+c,"q""x",3,2021-05-01
+z,c,1e-3,
+""",
+}
+
+EXPORT_WITH_PARTIES = {
+    "support.csv": """source,target,weight,date
+"a,1",ü,3.5,2021-03-02
+"q""x","a,1",4.0,2021-02-28
+ü,"q""x",0.30000000000000004,2021-03-01
+b,b,3.0,2021-03-05
+""",
+    "like.csv": """source,target
+"q""x",ü
+ü,"a,1"
+c,"a,1"
+""",
+    "comment.csv": """source,target,weight
+"a,1",c,7.0
+ü,c,0.75
+""",
+    "share.csv": """source,target,date
+"a,1",z,
+ü,c,2021-04-01
+z,ü,2021-03-30
+""",
+    "mixed.csv": """source,target,weight,date
+z,c,0.001,
+c,"q""x",2.0,
+c,"q""x",3.0,2021-05-01
+""",
+    "network.graphml": """<?xml version='1.0' encoding='utf-8'?>
+<graphml>
+  <key id="d0" for="node" attr.name="group" attr.type="string" />
+  <key id="d1" for="edge" attr.name="layer" attr.type="string" />
+  <key id="d2" for="edge" attr.name="weight" attr.type="double" />
+  <key id="d3" for="edge" attr.name="date" attr.type="string" />
+  <graph id="network" edgedefault="directed">
+    <node id="a,1">
+      <data key="d0">left</data>
+    </node>
+    <node id="q&quot;x">
+      <data key="d0">right</data>
+    </node>
+    <node id="ü">
+      <data key="d0">left</data>
+    </node>
+    <node id="z">
+      <data key="d0">unaligned</data>
+    </node>
+    <node id="b">
+      <data key="d0">unaligned</data>
+    </node>
+    <node id="c">
+      <data key="d0">unaligned</data>
+    </node>
+    <edge source="a,1" target="ü">
+      <data key="d1">support</data>
+      <data key="d2">3.5</data>
+      <data key="d3">2021-03-02</data>
+    </edge>
+    <edge source="q&quot;x" target="a,1">
+      <data key="d1">support</data>
+      <data key="d2">4.0</data>
+      <data key="d3">2021-02-28</data>
+    </edge>
+    <edge source="ü" target="q&quot;x">
+      <data key="d1">support</data>
+      <data key="d2">0.30000000000000004</data>
+      <data key="d3">2021-03-01</data>
+    </edge>
+    <edge source="b" target="b">
+      <data key="d1">support</data>
+      <data key="d2">3.0</data>
+      <data key="d3">2021-03-05</data>
+    </edge>
+    <edge source="q&quot;x" target="ü">
+      <data key="d1">like</data>
+      <data key="d2">1.0</data>
+    </edge>
+    <edge source="ü" target="a,1">
+      <data key="d1">like</data>
+      <data key="d2">1.0</data>
+    </edge>
+    <edge source="c" target="a,1">
+      <data key="d1">like</data>
+      <data key="d2">1.0</data>
+    </edge>
+    <edge source="a,1" target="c">
+      <data key="d1">comment</data>
+      <data key="d2">7.0</data>
+    </edge>
+    <edge source="ü" target="c">
+      <data key="d1">comment</data>
+      <data key="d2">0.75</data>
+    </edge>
+    <edge source="a,1" target="z">
+      <data key="d1">share</data>
+      <data key="d2">1.0</data>
+    </edge>
+    <edge source="ü" target="c">
+      <data key="d1">share</data>
+      <data key="d2">1.0</data>
+      <data key="d3">2021-04-01</data>
+    </edge>
+    <edge source="z" target="ü">
+      <data key="d1">share</data>
+      <data key="d2">1.0</data>
+      <data key="d3">2021-03-30</data>
+    </edge>
+    <edge source="z" target="c">
+      <data key="d1">mixed</data>
+      <data key="d2">0.001</data>
+    </edge>
+    <edge source="c" target="q&quot;x">
+      <data key="d1">mixed</data>
+      <data key="d2">2.0</data>
+    </edge>
+    <edge source="c" target="q&quot;x">
+      <data key="d1">mixed</data>
+      <data key="d2">3.0</data>
+      <data key="d3">2021-05-01</data>
+    </edge>
+  </graph>
+</graphml>""",
+}
+
+EXPORT_WITHOUT_PARTIES = {
+    "support.csv": """source,target,weight,date
+"a,1",ü,3.5,2021-03-02
+ü,"q""x",0.30000000000000004,2021-03-01
+"q""x","a,1",4.0,2021-02-28
+b,b,3.0,2021-03-05
+""",
+    "mixed.csv": """source,target,weight,date
+c,"q""x",2.0,
+c,"q""x",3.0,2021-05-01
+z,c,0.001,
+""",
+    "network.graphml": """<?xml version='1.0' encoding='utf-8'?>
+<graphml>
+  <key id="d1" for="edge" attr.name="layer" attr.type="string" />
+  <key id="d2" for="edge" attr.name="weight" attr.type="double" />
+  <key id="d3" for="edge" attr.name="date" attr.type="string" />
+  <graph id="network" edgedefault="directed">
+    <node id="a,1" />
+    <node id="ü" />
+    <node id="q&quot;x" />
+    <node id="b" />
+    <node id="c" />
+    <node id="z" />
+    <edge source="a,1" target="ü">
+      <data key="d1">support</data>
+      <data key="d2">3.5</data>
+      <data key="d3">2021-03-02</data>
+    </edge>
+    <edge source="ü" target="q&quot;x">
+      <data key="d1">support</data>
+      <data key="d2">0.30000000000000004</data>
+      <data key="d3">2021-03-01</data>
+    </edge>
+    <edge source="q&quot;x" target="a,1">
+      <data key="d1">support</data>
+      <data key="d2">4.0</data>
+      <data key="d3">2021-02-28</data>
+    </edge>
+    <edge source="b" target="b">
+      <data key="d1">support</data>
+      <data key="d2">3.0</data>
+      <data key="d3">2021-03-05</data>
+    </edge>
+    <edge source="c" target="q&quot;x">
+      <data key="d1">mixed</data>
+      <data key="d2">2.0</data>
+    </edge>
+    <edge source="c" target="q&quot;x">
+      <data key="d1">mixed</data>
+      <data key="d2">3.0</data>
+      <data key="d3">2021-05-01</data>
+    </edge>
+    <edge source="z" target="c">
+      <data key="d1">mixed</data>
+      <data key="d2">0.001</data>
+    </edge>
+  </graph>
+</graphml>""",
+}
+
+
+@pytest.mark.parametrize("parties", [True, False], ids=["parties", "no_parties"])
+@pytest.mark.parametrize("route", ["cli", "library"])
+def test_export_writes_pinned_bytes(tmp_path, route, parties):
+    """``export`` and the library exporters write exactly these bytes.  On the
+    library route each layer is parsed alone, so ``assemble`` rebuilds the
+    layers whose registry does not begin the network's."""
+    for name, text in EXPORT_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    expected = EXPORT_WITH_PARTIES if parties else EXPORT_WITHOUT_PARTIES
+    names = [name.removesuffix(".csv") for name in expected if name.endswith(".csv")]
+    out = tmp_path / "out"
+    if route == "cli":
+        args = [arg for name in names for arg in ("--layer", f"{name}={tmp_path / name}.csv")]
+        if parties:
+            args += ["--nodes", str(tmp_path / "nodes.csv"), "--merge", str(tmp_path / "merge.cfg")]
+        assert main(["export", *args, "--graphml", "--out", str(out)]) == 0
+    else:
+        layers = [ingest_layer(tmp_path / f"{name}.csv", LayerSchema(name=name)) for name in names]
+        table = read_node_table(tmp_path / "nodes.csv") if parties else None
+        network = MultiplexNetwork.assemble(layers, table)
+        assert any(network.node_ids[: len(layer.node_ids)] != layer.node_ids for layer in layers)
+        partition = None
+        if parties:
+            raw = {node: table.get(node, "") for node in network.node_ids}
+            partition = apply_party_merge(raw, read_merge_config(tmp_path / "merge.cfg"))
+        out.mkdir()
+        for name in names:
+            export_layer_csv(network.layer(name), out / f"{name}.csv")
+        export_graphml(network, out / "network.graphml", partition)
+    # Hidden entries of the run's store share --out with the export.
+    written = {path.name: path.read_bytes() for path in out.iterdir() if not path.name.startswith(".")}
+    assert written == {name: text.encode("utf-8") for name, text in expected.items()}
 
 
 # -- JSON output ------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse.linalg
 
-from helpers import layer_of, random_digraph
+from helpers import generate_planted_partition, layer_of, random_digraph
 from oracles import (
     best_partition_oracle,
     eo_bisect_oracle,
@@ -20,14 +20,14 @@ from polarnet import communities
 from polarnet.communities import (
     DEFAULT_PORTFOLIO,
     ComboScript,
-    refine_reposition,
+    DetectionResult,
     run_combo,
     run_portfolio,
 )
 from polarnet.errors import UndefinedMetricError, ValidationError
 from polarnet.infometrics import partition_nmi
 from polarnet.modularity import q_modularity
-from polarnet.network import Partition, generate_planted_partition
+from polarnet.network import Partition
 
 
 def _groups(partition: Partition) -> set[frozenset[str]]:
@@ -522,8 +522,9 @@ def test_reposition_never_decreases_q():
             tuple(f"g{k}" for k in sorted(set(codes.tolist()))),
         )
         q_start = q_modularity(layer, start)
-        result = refine_reposition(layer, start)
-        assert result.q >= q_start - 1e-12
+        problem = communities._Problem(layer)
+        refined = communities._reposition(problem, start.codes_on(layer.node_ids))
+        assert problem.q(refined) >= q_start - 1e-12
 
 
 def test_reposition_is_idempotent():
@@ -531,10 +532,11 @@ def test_reposition_is_idempotent():
     start = Partition.from_assignment(
         {f"n{i}": "g0" if i < 2 else "g1" for i in range(6)}, ("g0", "g1")
     )
-    once = refine_reposition(layer, start)
-    twice = refine_reposition(layer, once.partition)
-    assert _groups(once.partition) == _groups(twice.partition)
-    assert twice.q == once.q
+    problem = communities._Problem(layer)
+    once = communities._reposition(problem, start.codes_on(layer.node_ids))
+    twice = communities._reposition(problem, once)
+    assert twice.tolist() == once.tolist()  # both canonical: the same groups
+    assert problem.q(twice) == problem.q(once)
 
 
 def test_reposition_repairs_corrupted_planted_partition():
@@ -545,9 +547,10 @@ def test_reposition_repairs_corrupted_planted_partition():
     for node in flipped:
         corrupted[node] = "g1" if corrupted[node] == "g0" else "g0"
     start = Partition.from_assignment(corrupted, truth.labels)
-    result = refine_reposition(layer, start)
-    assert result.q > q_modularity(layer, start)
-    assert _groups(result.partition) == _groups(truth)
+    problem = communities._Problem(layer)
+    refined = communities._reposition(problem, start.codes_on(layer.node_ids))
+    assert problem.q(refined) > q_modularity(layer, start)
+    assert refined.tolist() == communities._canonical(truth.codes_on(layer.node_ids)).tolist()
 
 
 # -- combo scripts ----------------------------------------------------------
@@ -680,8 +683,10 @@ def test_reported_q_is_the_q_of_the_returned_partition(kind):
             run_portfolio(layer, seed=seed),
             run_combo(layer, "f-1"),
             run_combo(layer, "s-1"),
-            refine_reposition(layer, start),
         ]
+        problem = communities._Problem(layer)
+        refined = communities._reposition(problem, start.codes_on(layer.node_ids))
+        results.append(DetectionResult.from_codes(layer.node_ids, "r-1", None, refined, problem.q(refined)))
         results += [run_combo(layer, script, seed) for script in DEFAULT_PORTFOLIO]
         for result in results:
             assert result.q.hex() == q_modularity(layer, result.partition).hex(), result.script

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import columns
+from helpers import columns, links_of
 from oracles import ingest_layer_reference
 from polarnet.cli import _read_events
 from polarnet.errors import ParseError, PolarnetError
@@ -218,7 +218,7 @@ def test_exported_layer_reingests_equal_with_bom_and_crlf(tmp_path_factory, link
     plain = ingest_layer(root / "plain.csv", schema)
     again = ingest_layer(root / "windows.csv", schema)
     assert _comparable(again) == _comparable(plain)
-    assert sorted(again.links(), key=repr) == sorted(original.links(), key=repr)
+    assert sorted(links_of(again), key=repr) == sorted(links_of(original), key=repr)
     assert again.weighted == original.weighted
 
 

@@ -533,9 +533,9 @@ def test_link_nmi_registry_mismatch():
 def test_partition_nmi_identical_up_to_relabeling():
     nodes = ids(6)
     a = partition_of(6, [0, 0, 1, 1, 2, 2])
-    b = Partition.from_assignment(
-        {node: {"g0": "left", "g1": "mid", "g2": "right"}[a.label_of(node)] for node in nodes}
-    )
+    names = {"g0": "left", "g1": "mid", "g2": "right"}
+    labels = np.array(a.labels)[a.codes_on(nodes)].tolist()
+    b = Partition.from_assignment({node: names[label] for node, label in zip(nodes, labels)})
     for estimator in ("ml", "mm"):
         assert partition_nmi(a, b, nodes, estimator=estimator) == (1.0, 1.0)
 

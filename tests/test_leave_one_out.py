@@ -32,7 +32,7 @@ from polarnet.infometrics import (
     replicate_values,
     similarity_replicates,
 )
-from polarnet.modularity import leave_one_out_q, q_modularity
+from polarnet.modularity import ScaledLayer, leave_one_out_q
 from polarnet.network import MultiplexNetwork
 
 
@@ -100,7 +100,7 @@ def test_closed_form_q_equals_brute_force(case):
     network, codes = case
 
     def metric(net: MultiplexNetwork) -> float:
-        return q_modularity(net.layer("links"), None, codes=codes)
+        return ScaledLayer(net.layer("links")).q(codes)
 
     try:
         point = metric(network)
@@ -118,7 +118,7 @@ def test_hub_layer_skips_by_link_count():
     codes = np.array([0, 0, 1, 1, 0])
 
     def metric(net: MultiplexNetwork) -> float:
-        return q_modularity(net.layer("links"), None, codes=codes)
+        return ScaledLayer(net.layer("links")).q(codes)
 
     closed = leave_one_out_q(layer, codes, network.active_indices())
     assert closed[0] is None
@@ -137,7 +137,7 @@ def test_replicate_keeping_little_weight_is_recomputed():
     codes = np.array([0, 1, 0, 1, 0, 0, 1])
 
     def metric(net: MultiplexNetwork) -> float:
-        return q_modularity(net.layer("links"), None, codes=codes)
+        return ScaledLayer(net.layer("links")).q(codes)
 
     closed = leave_one_out_q(layer, codes, network.active_indices())
     _assert_close(closed, _brute(metric, network))
@@ -152,7 +152,7 @@ def test_many_groups_are_scored_in_blocks():
     codes[0] = 349_524
 
     def metric(net: MultiplexNetwork) -> float:
-        return q_modularity(net.layer("links"), None, codes=codes)
+        return ScaledLayer(net.layer("links")).q(codes)
 
     closed = leave_one_out_q(layer, codes, network.active_indices())
     _assert_close(closed, _brute(metric, network))

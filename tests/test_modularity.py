@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import layer_of, partition_of, random_codes, random_digraph
-from oracles import demodularity_oracle, q_modularity_oracle
+from oracles import decomposition_residual, demodularity_oracle, q_modularity_oracle
 from polarnet.errors import (
     InternalConsistencyError,
     UndefinedMetricError,
@@ -15,8 +15,8 @@ from polarnet.errors import (
 )
 from polarnet.modularity import (
     POLARIZATION_THRESHOLD,
+    ScaledLayer,
     classify_polarization,
-    decomposition_residual,
     demodularity,
     demodularity_matrix,
     q_modularity,
@@ -72,10 +72,10 @@ def test_precomputed_codes_agree_with_partition_path():
     codes = np.array(random_codes(rng, n, 3), dtype=np.int64)
     part = partition_of(n, codes.tolist())
     via_partition = q_modularity(layer, part)
-    via_codes = q_modularity(layer, None, codes=codes)
+    via_codes = ScaledLayer(layer).q(codes)
     assert via_codes == via_partition
-    with pytest.raises(ValidationError):
-        q_modularity(layer, None)
+    with pytest.raises(TypeError):
+        q_modularity(layer, None, codes=codes)
 
 
 def test_empty_metric_weight_is_undefined():
@@ -203,4 +203,4 @@ def test_q_range_guard_raises_internal_error():
     layer.weight[:] = np.array([100.0, -99.0])
     layer._metric_view = None
     with pytest.raises(InternalConsistencyError):
-        q_modularity(layer, None, codes=np.array([0, 1], dtype=np.int64))
+        ScaledLayer(layer).q(np.array([0, 1], dtype=np.int64))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import columns, ids, layer_of
+from helpers import columns, generate_planted_partition, ids, layer_of, links_of
 from oracles import (
     DictPartition,
     OracleError,
@@ -32,7 +32,6 @@ from polarnet.network import (
     export_graphml,
     export_layer_csv,
     filter_partition,
-    generate_planted_partition,
     ingest_layer,
     read_merge_config,
     read_node_table,
@@ -61,7 +60,7 @@ def test_ingest_header_and_columns(tmp_path):
     assert layer.weighted
     assert layer.weight.sum() == pytest.approx(3.5)
     assert layer.has_timestamps
-    stamps = sorted(link.timestamp for link in layer.links())
+    stamps = sorted(day for *_, day in links_of(layer))
     assert stamps == [date(2011, 3, 1), date(2011, 3, 2)]
 
 
@@ -89,10 +88,7 @@ def test_ingest_header_names_every_column(tmp_path, header, column):
 def test_ingest_header_is_case_insensitive_in_any_order(tmp_path):
     path = tmp_path / "layer.csv"
     path.write_text("Source,TARGET,Date,Weight\nx,y,2011-03-01,2.5\n")
-    (link,) = list(ingest_layer(path).links())
-    assert (link.source, link.target, link.weight, link.timestamp) == (
-        "x", "y", 2.5, date(2011, 3, 1)
-    )
+    assert links_of(ingest_layer(path)) == [("x", "y", 2.5, date(2011, 3, 1))]
 
 
 def test_ingest_weighted_duplicates_accumulate(tmp_path):
@@ -108,8 +104,8 @@ def test_ingest_unweighted_duplicates_keep_earliest_date(tmp_path):
     path.write_text("source,target,date\na,b,2011-06-05\na,b,2011-02-01\n")
     layer = ingest_layer(path)
     assert layer.n_links == 1
-    (link,) = list(layer.links())
-    assert link.timestamp == date(2011, 2, 1)
+    (link,) = links_of(layer)
+    assert link[3] == date(2011, 2, 1)
 
 
 def test_ingest_row_order_does_not_matter(tmp_path):
@@ -335,9 +331,8 @@ def test_apply_party_merge_orders_and_defaults():
     )
     # config value order first, then unaligned last; unmapped raws go unaligned
     assert partition.labels == ("SVP/EDU", "SP", "unaligned")
-    assert partition.label_of("c") == "SVP/EDU"
-    assert partition.label_of("d") == "unaligned"
-    assert partition.label_of("e") == "unaligned"
+    labels = np.array(partition.labels)
+    assert labels[partition.codes_on(["c", "d", "e"])].tolist() == ["SVP/EDU", "unaligned", "unaligned"]
 
 
 def test_identity_merge_skips_empty():
@@ -355,7 +350,7 @@ def test_partition_validation():
     part = Partition.from_assignment({"a": "x", "b": "y"})
     assert part.labels == ("x", "y")
     with pytest.raises(ValidationError):
-        part.label_of("zzz")
+        np.array(part.labels)[part.codes_on(["zzz"])]
 
 
 def test_partition_codes_follow_label_order():
